@@ -1,24 +1,24 @@
-"""Engine benchmark: event vs analytic vs vectorized scheduling paths.
+"""Engine benchmark: event vs analytic-drain scheduling paths.
 
-Times the same workloads through the engine's three scheduling paths —
-the per-work-group event loop, the analytic fast-batch drain, and the
-numpy closed-form vectorized drain — and measures the cost-kernel memo's
-warm hit rate.  All three paths are bit-identical by construction (the
-equivalence suite proves it); this benchmark shows what that equivalence
-buys and gates against regressions (written to ``BENCH_engine.json``):
+Times the same workloads through the engine's two scheduling paths —
+the per-work-group event loop and the analytic fast-batch drain — and
+measures the cost-kernel memo's warm hit rate.  Both paths are
+bit-identical by construction (the equivalence suite proves it); this
+benchmark shows what that equivalence buys and gates against
+regressions (written to ``BENCH_engine.json``):
 
 1. **uncontended** — one 64k-work-group noise-free batch per path,
-   work-groups/sec.  The vectorized path must clear ``MIN_SPEEDUP``×
-   the event path (5× on full inputs, 2× on ``--quick``).
+   work-groups/sec.  The drain must clear ``MIN_SPEEDUP``× the event
+   path (5× on full inputs, 2× on ``--quick``).
 2. **contended** — a mixed-priority three-task stream with interleaved
-   host polls.  Vectorized must clear 2× the event path.
+   host polls.  The drain must clear 2× the event path.
 3. **memo** — repeated launches of one workload class; the warm hit
    rate must be at least 95%.
 
-The benchmark also re-asserts exact equality of the three paths'
+The benchmark also re-asserts exact equality of the two paths'
 observables on the workloads it times (a cheap in-situ slice of the
 equivalence harness) and reconciles a traced runtime launch executed
-with the vectorized drain forced on.
+on the default (drain) path.
 
 Run with ``--quick`` for CI-sized inputs.
 """
@@ -73,11 +73,10 @@ MIN_MEMO_HIT_RATE = 0.95
 FULL_GROUPS = 65536
 QUICK_GROUPS = 8192
 
-#: The three paths as (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH) forcings.
+#: The two paths as FAST_BATCH_THRESHOLD forcings.
 PATHS = (
-    ("event", (10**9, False)),
-    ("fast", (1, False)),
-    ("vectorized", (1, True)),
+    ("event", 10**9),
+    ("fast", 1),
 )
 
 ELEMS_PER_UNIT = 8
@@ -132,25 +131,18 @@ def make_args(units: int, config: ReproConfig) -> Dict[str, object]:
 
 
 class forced_path:
-    """Pin the engine's path-selection constants for one measurement."""
+    """Pin the engine's fast-batch threshold for one measurement."""
 
-    def __init__(self, forcing: Tuple[int, bool]) -> None:
-        self.forcing = forcing
+    def __init__(self, threshold: int) -> None:
+        self.threshold = threshold
 
     def __enter__(self):
-        self.saved = (
-            engine_mod.FAST_BATCH_THRESHOLD,
-            engine_mod.VECTORIZED_BATCH,
-        )
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.forcing
-        )
+        self.saved = engine_mod.FAST_BATCH_THRESHOLD
+        engine_mod.FAST_BATCH_THRESHOLD = self.threshold
         return self
 
     def __exit__(self, *exc):
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.saved
-        )
+        engine_mod.FAST_BATCH_THRESHOLD = self.saved
         return False
 
 
@@ -226,12 +218,11 @@ def measure_paths(scenario, groups: int, config: ReproConfig, repeats: int):
             best = min(best, elapsed)
         timings[label] = best
         snapshots[label] = snap
-    for label in ("fast", "vectorized"):
-        if snapshots[label] != snapshots["event"]:
-            raise SystemExit(
-                f"equivalence violated: {label} path disagrees with the "
-                "event path on the benchmark workload"
-            )
+    if snapshots["fast"] != snapshots["event"]:
+        raise SystemExit(
+            "equivalence violated: the drain disagrees with the event "
+            "path on the benchmark workload"
+        )
     return timings
 
 
@@ -253,29 +244,28 @@ def measure_memo(groups: int, config: ReproConfig, launches: int) -> Dict:
 
 
 def traced_reconcile(trace_path: str) -> Tuple[int, List[str]]:
-    """A traced runtime launch under the vectorized drain, reconciled."""
-    with forced_path((1, True)):
-        config = ReproConfig(trace=True)
-        runtime = DySelRuntime(make_cpu(config), config)
-        variant = make_variant()
-        spec = KernelSpec(
-            signature=KernelSignature(
-                "scale", (ArgSpec("x"), ArgSpec("y", is_output=True))
-            )
+    """A traced runtime launch on the default path, reconciled."""
+    config = ReproConfig(trace=True)
+    runtime = DySelRuntime(make_cpu(config), config)
+    variant = make_variant()
+    spec = KernelSpec(
+        signature=KernelSignature(
+            "scale", (ArgSpec("x"), ArgSpec("y", is_output=True))
         )
-        from repro.compiler.variants import VariantPool
+    )
+    from repro.compiler.variants import VariantPool
 
-        runtime.register_pool(VariantPool(spec=spec, variants=(variant,)))
-        units = 512
-        args = make_args(units, config)
-        result = runtime.launch_kernel("scale", args, units)
-        write_chrome_trace(runtime.tracer.events, trace_path)
-        problems = reconcile(
-            runtime.tracer.events,
-            elapsed_cycles=result.elapsed_cycles,
-            workload_units=units,
-        )
-        return len(runtime.tracer.events), problems
+    runtime.register_pool(VariantPool(spec=spec, variants=(variant,)))
+    units = 512
+    args = make_args(units, config)
+    result = runtime.launch_kernel("scale", args, units)
+    write_chrome_trace(runtime.tracer.events, trace_path)
+    problems = reconcile(
+        runtime.tracer.events,
+        elapsed_cycles=result.elapsed_cycles,
+        workload_units=units,
+    )
+    return len(runtime.tracer.events), problems
 
 
 def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
@@ -296,7 +286,7 @@ def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
     clear_cost_memo()
 
     def speedup(timings):
-        return timings["event"] / timings["vectorized"]
+        return timings["event"] / timings["fast"]
 
     uncontended_speedup = speedup(uncontended)
     contended_speedup = speedup(contended)

@@ -76,6 +76,7 @@ def ir_hash(ir: KernelIR) -> str:
                     access.working_set_hint,
                     access.stride_evaluator is not None,
                     access.footprint_hint is not None,
+                    access.footprint_bytes,
                     access.strides_by_loop,
                 )
             )
@@ -107,9 +108,9 @@ def statically_priced(ir: KernelIR) -> bool:
 
     An IR is statically priced when no loop bound, stride, or footprint is
     evaluator-driven: every per-unit cost term is then a function of IR
-    constants and buffer shapes only, identical across units — the
-    precondition for the cost-kernel memo (and the reason ``ir_hash``'s
-    evaluator-blindness is safe there).
+    constants (a constant ``footprint_bytes`` included) and buffer shapes
+    only, identical across units — the precondition for the cost-kernel
+    memo (and the reason ``ir_hash``'s evaluator-blindness is safe there).
     """
     if any(loop.bound.evaluator is not None for loop in ir.loops):
         return False
@@ -330,7 +331,8 @@ class CostModel:
     ) -> UnitCostBreakdown:
         """Evaluate per-unit cost components for the given unit ids."""
         ids = np.asarray(unit_ids, dtype=np.int64)
-        flops = ir.total_flops(args, ids)
+        trips_by_loop = ir.loop_trips(args, ids)
+        flops = ir.total_flops(args, ids, trips_by_loop)
         compute = self.device.compute_cycles(ir, flops, self._wg_size(ir))
 
         cost = AccessCost.zero(ids.size)
@@ -338,7 +340,7 @@ class CostModel:
         placements = dict(ir.placements)
         memory = self.device.memory
         for access in ir.accesses:
-            trips = ir.access_trips(access, args, ids)
+            trips = ir.access_trips(access, args, ids, trips_by_loop)
             useful_bytes = access.bytes_per_trip * trips
             buffer = self._buffer_arg(args, access.buffer)
             space = MemorySpace(
@@ -374,7 +376,7 @@ class CostModel:
                 ops = useful_bytes / ELEM_BYTES
                 atomic_cycles += ops * self.device.atomic_cycles_per_op()
 
-        bookkeeping = self._loop_bookkeeping(ir, args, ids)
+        bookkeeping = self._loop_bookkeeping(ir, trips_by_loop, ids.size)
         exposed = cost.latency_cycles + atomic_cycles + bookkeeping
         return UnitCostBreakdown(
             compute_cycles=compute,
@@ -385,8 +387,8 @@ class CostModel:
     def _loop_bookkeeping(
         self,
         ir: KernelIR,
-        args: Mapping[str, object],
-        ids: np.ndarray,
+        trips_by_loop: Mapping[str, np.ndarray],
+        count: int,
     ) -> np.ndarray:
         """Per-unit loop setup and trip bookkeeping cycles.
 
@@ -398,11 +400,10 @@ class CostModel:
         DFO/BFO crossover).
         """
         spec = self.device.spec
-        bookkeeping = np.zeros(ids.size)
-        instances = np.ones(ids.size)
+        bookkeeping = np.zeros(count)
+        instances = np.ones(count)
         for index, loop in enumerate(ir.loops):
-            trips = loop.bound.trips(args, ids)
-            iterations = instances * trips
+            iterations = instances * trips_by_loop[loop.name]
             per_trip = spec.loop_overhead_cycles
             if index == len(ir.loops) - 1:
                 # The innermost loop's bookkeeping amortizes over both

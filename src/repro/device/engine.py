@@ -49,20 +49,16 @@ from .cost import CostModel
 #: device-side setup before the first work-group starts.
 HOST_LAUNCH_FRACTION = 0.25
 
-#: Above this many *total queued* work-groups, a drain to an unbounded
+#: From this many *total queued* work-groups, a drain to an unbounded
 #: horizon skips the per-work-group event machinery and runs the analytic
 #: schedule (see :meth:`ExecutionEngine._try_fast_batch`).  Contended and
 #: mixed-priority queues qualify: with no pending arrivals the event loop
 #: is provably a priority-ordered greedy list schedule, so draining it in
-#: one pass is exact, not an approximation.
-FAST_BATCH_THRESHOLD = 4096
-
-#: When True, the analytic drain additionally collapses equal-duration
-#: batches (noise off, statically priced kernels) into a numpy
-#: closed-form round-robin schedule instead of a per-group heap loop.
-#: The closed form is only taken when it is provably bit-identical to the
-#: heap loop; tests monkeypatch this flag to force each path.
-VECTORIZED_BATCH = True
+#: one pass is exact, not an approximation — hence the default of 1: any
+#: non-empty queue drains analytically, which is what lets catalog-sized
+#: tasks (8–512 work-groups) take it.  Tests raise it to force the event
+#: path.
+FAST_BATCH_THRESHOLD = 1
 
 #: Shared empty duration array for finalized/cancelled tasks.
 _NO_DURATIONS = np.zeros(0)
@@ -72,9 +68,7 @@ class _Batch:
     """Queued work-groups of one task: a duration array and a cursor.
 
     The event loop consumes groups by advancing ``index``; the analytic
-    drain consumes the remaining suffix at once.  Keeping the array whole
-    (instead of a deque of floats) is what makes the vectorized schedule
-    possible without changing delivery order.
+    drain consumes the remaining suffix at once.
     """
 
     __slots__ = ("task", "durations", "index")
@@ -447,14 +441,6 @@ class ExecutionEngine:
         """Latest unit free time (device-side frontier)."""
         return max(t for t, _ in self._unit_heap)
 
-    def _ready_count(self) -> int:
-        """Work-groups currently queued across all priorities."""
-        return sum(
-            batch.remaining
-            for queue in self._ready.values()
-            for batch in queue
-        )
-
     def _peek_ready(self) -> _Batch:
         """The highest-priority ready batch (queues must not be empty)."""
         for priority in Priority:
@@ -542,21 +528,17 @@ class ExecutionEngine:
         identical* unit free times, intervals, busy cycles, and
         measurement-RNG consumption; only the simulation cost differs.
 
-        When every remaining duration in a batch is the same value ``d``
-        and all units are free at the same instant (the uncontended
-        noise-free case), the greedy schedule is a round-robin with round
-        ends ``a, a+d, a+2d, …`` — a sequential fold that
-        ``np.add.accumulate`` reproduces exactly, so the heap loop
-        collapses to a handful of array ops (gated by
-        :data:`VECTORIZED_BATCH`).
-
         A ``stop_task`` (plumbed via ``_advance_to``) stops the drain
         right after the batch that finishes it; later batches stay queued
         because work submitted afterwards could still preempt them.
         """
         if self._arrivals or horizon != float("inf"):
             return False
-        if self._ready_count() < FAST_BATCH_THRESHOLD:
+        # The caller's non-empty ready queue meets the default threshold;
+        # only a raised one (a test forcing the event path) needs a count.
+        if FAST_BATCH_THRESHOLD > 1 and FAST_BATCH_THRESHOLD > sum(
+            batch.remaining for queue in self._ready.values() for batch in queue
+        ):
             return False
 
         stop_task = self._stop_task
@@ -577,39 +559,18 @@ class ExecutionEngine:
                 first_start = task.first_start
                 last_end = task.last_end
 
-                vectorized = False
-                if VECTORIZED_BATCH:
-                    d = float(durations[index])
-                    f0 = unit_heap[0][0]
-                    if (
-                        d > 0.0
-                        and all(t == f0 for t, _ in unit_heap)
-                        and bool(np.all(durations[index:] == d))
-                    ):
-                        busy, start0, end_last = self._vector_rounds(
-                            arrival, d, count, busy
-                        )
-                        if start0 < first_start:
-                            first_start = start0
-                        if end_last > last_end:
-                            last_end = end_last
-                        vectorized = True
-
-                if not vectorized:
-                    while index < len(durations):
-                        free_time, unit = unit_heap[0]
-                        start = (
-                            free_time if free_time > arrival else arrival
-                        )
-                        duration = float(durations[index])
-                        end = start + duration
-                        heapreplace(unit_heap, (end, unit))
-                        if start < first_start:
-                            first_start = start
-                        if end > last_end:
-                            last_end = end
-                        busy += duration
-                        index += 1
+                while index < len(durations):
+                    free_time, unit = unit_heap[0]
+                    start = free_time if free_time > arrival else arrival
+                    duration = float(durations[index])
+                    end = start + duration
+                    heapreplace(unit_heap, (end, unit))
+                    if start < first_start:
+                        first_start = start
+                    if end > last_end:
+                        last_end = end
+                    busy += duration
+                    index += 1
 
                 batch.index = len(durations)
                 queue.popleft()
@@ -625,42 +586,6 @@ class ExecutionEngine:
         self._busy_cycles = busy
         self._measure_finished(finished)
         return True
-
-    def _vector_rounds(
-        self, arrival: float, d: float, count: int, busy: float
-    ) -> Tuple[float, float, float]:
-        """Closed-form round-robin schedule for an equal-duration batch.
-
-        Preconditions (checked by the caller): every unit free at the
-        same instant ``f0``, every remaining duration equal to ``d > 0``.
-        The event path then pops units in id order (heap ties break on
-        the id) and every unit walks the same end sequence
-        ``a, a+d, a+2d, …`` with ``a = max(f0, arrival)`` — computed here
-        with ``np.add.accumulate``, whose sequential left fold matches
-        the event path's repeated ``end = start + d`` bit for bit.
-        Returns the new busy-cycle fold and the batch's first start and
-        last end.
-        """
-        unit_heap = self._unit_heap
-        f0 = unit_heap[0][0]
-        m = len(unit_heap)
-        a = f0 if f0 > arrival else arrival
-        rounds = -(-count // m)
-        ends = np.add.accumulate(
-            np.concatenate(([a], np.full(rounds, d)))
-        )
-        ids = sorted(unit for _, unit in unit_heap)
-        rebuilt = []
-        for position, unit in enumerate(ids):
-            groups = (count - position + m - 1) // m if position < count else 0
-            free = float(ends[groups]) if groups > 0 else f0
-            rebuilt.append((free, unit))
-        unit_heap[:] = rebuilt
-        heapq.heapify(unit_heap)
-        busy = float(
-            np.add.accumulate(np.concatenate(([busy], np.full(count, d))))[-1]
-        )
-        return busy, float(ends[0]), float(ends[(count - 1) // m + 1])
 
     def _measure_finished(self, tasks: List[TaskHandle]) -> None:
         """Read measurements for drained tasks, in completion order.

@@ -164,11 +164,13 @@ class MemoryModel:
     ) -> np.ndarray:
         """Per-unit working set relevant to an access's locality.
 
-        Precedence: the access's ``footprint_hint`` evaluator (true
-        per-unit locality from the data), then the resolved
-        ``working_set_hint`` buffer's size, then the accessed buffer's own
-        footprint, then "DRAM-sized".
+        Precedence: the access's ``footprint_bytes`` or ``footprint_hint``
+        (true per-unit locality), then the resolved ``working_set_hint``
+        buffer's size, then the accessed buffer's own footprint, then
+        "DRAM-sized".
         """
+        if access.footprint_bytes is not None:
+            return np.full(unit_ids.shape, float(access.footprint_bytes))
         if access.footprint_hint is not None:
             ws = np.asarray(
                 access.footprint_hint(args, unit_ids), dtype=float

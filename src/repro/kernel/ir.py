@@ -37,6 +37,9 @@ from ..errors import IRError
 #: per work-group.  ``unit_ids`` is an int64 array of workload-unit ids; the result must be a float array of the same length.
 Evaluator = Callable[[Mapping[str, object], np.ndarray], np.ndarray]
 
+#: Per-unit trip counts by loop name (:meth:`KernelIR.loop_trips`).
+Trips = Mapping[str, np.ndarray]
+
 
 class AccessPattern(enum.Enum):
     """How consecutive work-items in a work-group touch a buffer.
@@ -85,7 +88,9 @@ class LoopBound:
     ``evaluator`` gives the count per workload unit when it depends on runtime
     data (CSR row lengths, ...); static analyses cannot see through it —
     only that it exists — which makes uniform workload analysis
-    conservative, as the paper notes for uniform CSR matrices.
+    conservative, as the paper notes for uniform CSR matrices.  The
+    evaluator is a pure function of ``(args, unit_ids)`` and runs once per
+    pricing call (:meth:`KernelIR.loop_trips`).
     """
 
     static_trips: Optional[int] = None
@@ -172,6 +177,9 @@ class MemoryAccess:
         Optional name of a buffer whose size bounds the gather working set
         (e.g. the dense vector in spmv); lets the cache model estimate
         gather hit rates.
+
+    Evaluator fields are pure functions of ``(args, unit_ids)`` and run
+    once per pricing call.
     """
 
     buffer: str
@@ -200,6 +208,10 @@ class MemoryAccess:
     #: and gather hit-rate estimation — this is how input locality (e.g.
     #: the diagonal matrix's 1-nnz rows) reaches the cost model.
     footprint_hint: Optional[Evaluator] = None
+    #: Constant form of ``footprint_hint`` (bytes per unit) for footprints
+    #: fixed by the IR's shape; unlike an evaluator it keeps the IR
+    #: statically priced (memoizable).
+    footprint_bytes: Optional[float] = None
     #: Optional per-loop byte strides of the access's index expression:
     #: how far the address moves per step of each loop variable.  Used by
     #: the schedule transform and the locality-centric heuristic to derive
@@ -386,20 +398,32 @@ class KernelIR:
     # Quantitative evaluation (vectorized over work-groups)
     # ------------------------------------------------------------------
 
+    def loop_trips(
+        self, args: Mapping[str, object], unit_ids: np.ndarray
+    ) -> Trips:
+        """Trip counts of every loop, per unit: one evaluation per bound.
+
+        The cost model builds this table once per pricing call and passes
+        it as ``trips`` to the counts below, so each evaluator runs once.
+        """
+        return {loop.name: loop.bound.trips(args, unit_ids) for loop in self.loops}
+
     def site_trips(
         self,
         site_loop: Optional[str],
         args: Mapping[str, object],
         unit_ids: np.ndarray,
+        trips: Optional[Trips] = None,
     ) -> np.ndarray:
         """Execution count of a site attached to ``site_loop``, per unit.
 
         The count is the product of trip counts of the loop and all loops
         enclosing it; a site outside all loops executes once.
         """
+        trips = trips if trips is not None else self.loop_trips(args, unit_ids)
         counts = np.ones(len(unit_ids))
         for loop in self.enclosing_loops(site_loop):
-            counts = counts * loop.bound.trips(args, unit_ids)
+            counts = counts * trips[loop.name]
         return counts
 
     def access_trips(
@@ -407,6 +431,7 @@ class KernelIR:
         access: "MemoryAccess",
         args: Mapping[str, object],
         unit_ids: np.ndarray,
+        trips: Optional[Trips] = None,
     ) -> np.ndarray:
         """Execution count of an access site, per workload unit.
 
@@ -415,14 +440,18 @@ class KernelIR:
         ``access.loop``.
         """
         if access.scope is None:
-            return self.site_trips(access.loop, args, unit_ids)
+            return self.site_trips(access.loop, args, unit_ids, trips)
+        trips = trips if trips is not None else self.loop_trips(args, unit_ids)
         counts = np.ones(len(unit_ids))
         for name in access.scope:
-            counts = counts * self.loop_named(name).bound.trips(args, unit_ids)
+            counts = counts * trips[name]
         return counts
 
     def innermost_trips(
-        self, args: Mapping[str, object], unit_ids: np.ndarray
+        self,
+        args: Mapping[str, object],
+        unit_ids: np.ndarray,
+        trips: Optional[Trips] = None,
     ) -> np.ndarray:
         """Total innermost-loop executions per workload unit.
 
@@ -431,15 +460,18 @@ class KernelIR:
         """
         if not self.loops:
             return np.ones(len(unit_ids))
-        return self.site_trips(self.loops[-1].name, args, unit_ids)
+        return self.site_trips(self.loops[-1].name, args, unit_ids, trips)
 
     def total_flops(
-        self, args: Mapping[str, object], unit_ids: np.ndarray
+        self,
+        args: Mapping[str, object],
+        unit_ids: np.ndarray,
+        trips: Optional[Trips] = None,
     ) -> np.ndarray:
         """Arithmetic work per workload unit."""
         return (
             self.flops_fixed
-            + self.flops_per_trip * self.innermost_trips(args, unit_ids)
+            + self.flops_per_trip * self.innermost_trips(args, unit_ids, trips)
         )
 
     def with_(self, **changes: object) -> "KernelIR":

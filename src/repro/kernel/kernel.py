@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..errors import KernelError, NDRangeError
 from .ir import KernelIR
 from .signature import KernelSignature
@@ -149,11 +147,6 @@ class KernelVariant:
         group_start = units.start // self.wa_factor
         group_end = math.ceil(units.end / self.wa_factor)
         return group_start, group_end
-
-    def group_ids_for_units(self, units: WorkRange) -> np.ndarray:
-        """Variant-local work-group ids covering a unit range (for costing)."""
-        group_start, group_end = self.groups_for_units(units)
-        return np.arange(group_start, group_end, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Execution

@@ -176,12 +176,9 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
 def base_variant(device_kind: str) -> KernelVariant:
     """Parboil's base cutcp: one work-item per lattice point."""
     points = UNIT_X * UNIT_Y * UNIT_Z
+    # Neighbouring points share bins: the per-unit atom footprint is the
+    # block's neighbourhood, not points × bins.
     atoms_bytes = float(BINS_PER_POINT * ATOMS_PER_BIN * 16)
-
-    def atoms_footprint(args, unit_ids: np.ndarray) -> np.ndarray:
-        # Neighbouring points share bins: the per-unit atom footprint is
-        # the block's neighbourhood, not points × bins.
-        return np.full(unit_ids.shape, atoms_bytes)
 
     loops = (
         Loop("wi_z", LoopBound(static_trips=UNIT_Z), is_work_item_loop=True),
@@ -211,7 +208,7 @@ def base_variant(device_kind: str) -> KernelVariant:
                 ("bin", GATHER_STRIDE),
                 ("atom", 16),
             ),
-            footprint_hint=atoms_footprint,
+            footprint_bytes=atoms_bytes,
         ),
         MemoryAccess(
             "potential",

@@ -36,7 +36,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase
+from .base import BenchmarkCase, per_unit_reduce
 
 #: Elements per workload unit and histogram bins.
 ELEMS_PER_UNIT = 1024
@@ -75,15 +75,33 @@ def _contention(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
     share; skewed data concentrates updates and serializes them.
     """
     data = args["data"].data  # type: ignore[union-attr]
-    factors = np.ones(len(unit_ids))
-    for index, unit in enumerate(np.asarray(unit_ids)):
-        e0 = int(unit) * ELEMS_PER_UNIT
-        e1 = min(e0 + ELEMS_PER_UNIT, len(data))
-        if e1 <= e0:
-            continue
-        counts = np.bincount(data[e0:e1], minlength=BINS)
-        factors[index] = 1.0 + 31.0 * float(counts.max()) / (e1 - e0)
-    return factors
+    hottest, lengths = per_unit_reduce(
+        data, unit_ids, ELEMS_PER_UNIT, _hottest_bin_counts
+    )
+    share = np.divide(
+        31.0 * hottest, lengths, out=np.zeros_like(hottest), where=lengths > 0
+    )
+    return 1.0 + share
+
+
+#: Units per ``np.bincount`` call: bounds the offset-key temporary.
+_CONTENTION_CHUNK = 64
+
+
+def _hottest_bin_counts(block: np.ndarray) -> np.ndarray:
+    """Largest bin count per row, binning rows together at offsets
+    ``r * BINS``; out-of-range values would alias into a neighbour's
+    counts, so they raise like the executor's bincount does."""
+    if block.size and (block.min() < 0 or block.max() >= BINS):
+        raise ValueError(f"histogram data outside [0, {BINS})")
+    hottest = np.empty(len(block))
+    for r0 in range(0, len(block), _CONTENTION_CHUNK):
+        chunk = block[r0 : r0 + _CONTENTION_CHUNK]
+        rows = len(chunk)
+        keys = chunk + (np.arange(rows, dtype=np.int64) * BINS)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * BINS)
+        hottest[r0 : r0 + rows] = counts.reshape(rows, BINS).max(axis=1)
+    return hottest
 
 
 def atomic_variant() -> KernelVariant:

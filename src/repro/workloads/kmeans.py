@@ -86,12 +86,6 @@ def base_variant() -> KernelVariant:
     block_bytes = float(POINTS_PER_UNIT * row_bytes)
     table_bytes = float(CLUSTERS * row_bytes)
 
-    def block_footprint(args, unit_ids: np.ndarray) -> np.ndarray:
-        return np.full(unit_ids.shape, block_bytes)
-
-    def table_footprint(args, unit_ids: np.ndarray) -> np.ndarray:
-        return np.full(unit_ids.shape, table_bytes)
-
     loops = (
         Loop("wi_p", LoopBound(static_trips=POINTS_PER_UNIT), is_work_item_loop=True),
         Loop("c", LoopBound(static_trips=CLUSTERS)),
@@ -106,7 +100,7 @@ def base_variant() -> KernelVariant:
             loop="d",
             scope=("wi_p", "c", "d"),
             strides_by_loop=(("wi_p", row_bytes), ("c", 0), ("d", 4)),
-            footprint_hint=block_footprint,
+            footprint_bytes=block_bytes,
         ),
         MemoryAccess(
             "centroids",
@@ -116,7 +110,7 @@ def base_variant() -> KernelVariant:
             loop="d",
             scope=("wi_p", "c", "d"),
             strides_by_loop=(("wi_p", 0), ("c", row_bytes), ("d", 4)),
-            footprint_hint=table_footprint,
+            footprint_bytes=table_bytes,
         ),
         MemoryAccess(
             "assign",

@@ -38,7 +38,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase
+from .base import BenchmarkCase, per_unit_mean
 
 #: Particles per workload unit.
 PARTICLES_PER_UNIT = 64
@@ -81,12 +81,7 @@ def _search_trips(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarra
     """
     cdf = args["cdf"].data  # type: ignore[union-attr]
     u = args["u"].data  # type: ignore[union-attr]
-    trips = np.zeros(len(unit_ids))
-    positions = np.searchsorted(cdf, u)
-    for index, unit in enumerate(np.asarray(unit_ids)):
-        p0 = int(unit) * PARTICLES_PER_UNIT
-        p1 = min(p0 + PARTICLES_PER_UNIT, len(u))
-        trips[index] = float(np.mean(positions[p0:p1])) if p1 > p0 else 0.0
+    trips = per_unit_mean(np.searchsorted(cdf, u), unit_ids, PARTICLES_PER_UNIT)
     return np.maximum(trips, 1.0)
 
 

@@ -82,9 +82,6 @@ def base_variant(n: int, device_kind: str) -> KernelVariant:
     """
     slab_bytes = float(TILE * n * 4)
 
-    def slab_footprint(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
-        return np.full(unit_ids.shape, slab_bytes)
-
     loops = (
         Loop("wi_i", LoopBound(static_trips=TILE), is_work_item_loop=True),
         Loop("wi_j", LoopBound(static_trips=TILE), is_work_item_loop=True),
@@ -107,7 +104,7 @@ def base_variant(n: int, device_kind: str) -> KernelVariant:
             loop="k",
             scope=("wi_i", "wi_j", "k"),
             strides_by_loop=(("wi_i", 4 * n), ("wi_j", 0), ("k", 4)),
-            footprint_hint=slab_footprint,
+            footprint_bytes=slab_bytes,
         ),
         MemoryAccess(
             "b",
@@ -118,7 +115,7 @@ def base_variant(n: int, device_kind: str) -> KernelVariant:
             scope=("wi_i", "wi_j", "k"),
             stride_bytes=b_stride,
             strides_by_loop=(("wi_i", 0), ("wi_j", 4), ("k", 4 * n)),
-            footprint_hint=slab_footprint,
+            footprint_bytes=slab_bytes,
         ),
         MemoryAccess(
             "c",

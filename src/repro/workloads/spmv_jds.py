@@ -44,7 +44,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase
+from .base import BenchmarkCase, per_unit_mean
 from .matrices import JdsMatrix, csr_to_jds, random_csr
 
 #: Rows per workload unit.
@@ -94,13 +94,8 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
 def _diag_trips(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
     """Mean diagonals (nonzeros) per row of each unit's rows."""
     matrix: JdsMatrix = args["matrix"]  # type: ignore[assignment]
-    rows = matrix.rows
-    sums = np.zeros(len(unit_ids))
-    for index, unit in enumerate(np.asarray(unit_ids)):
-        lo = int(unit) * ROWS_PER_UNIT
-        hi = min(lo + ROWS_PER_UNIT, rows)
-        sums[index] = float(np.mean(matrix.row_nnz[lo:hi])) if hi > lo else 0.0
-    return np.maximum(sums, 1.0)
+    means = per_unit_mean(matrix.row_nnz[: matrix.rows], unit_ids, ROWS_PER_UNIT)
+    return np.maximum(means, 1.0)
 
 
 def _nnz_footprint(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:

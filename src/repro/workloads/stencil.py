@@ -118,9 +118,6 @@ def base_variant(grid, device_kind: str) -> KernelVariant:
     plane_bytes = row_bytes * ny
     window_bytes = float(3 * row_bytes + 2 * plane_bytes)
 
-    def window_footprint(args, unit_ids: np.ndarray) -> np.ndarray:
-        return np.full(unit_ids.shape, window_bytes)
-
     loops = (
         Loop("wi_z", LoopBound(static_trips=UNIT_Z), is_work_item_loop=True),
         Loop("wi_y", LoopBound(static_trips=UNIT_Y), is_work_item_loop=True),
@@ -147,7 +144,7 @@ def base_variant(grid, device_kind: str) -> KernelVariant:
                 ("wi_y", row_bytes),
                 ("wi_z", plane_bytes),
             ),
-            footprint_hint=window_footprint,
+            footprint_bytes=window_bytes,
         ),
         MemoryAccess(
             "a_out",

@@ -11,6 +11,7 @@ re-register-mid-launch race).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -303,6 +304,137 @@ class TestReRegisterMidLaunchRace:
         args = make_axpy_args(32, quiet_config)
         model.workgroup_cycles(variant, args, WorkRange(0, 32))
         assert cost_memo_stats()["entries"] == 1
+
+
+def _with_footprint_bytes(variant: KernelVariant, footprint: float) -> KernelVariant:
+    """``variant`` with a constant footprint on its ``x`` access."""
+    accesses = tuple(
+        dataclasses.replace(access, footprint_bytes=footprint)
+        if access.buffer == "x"
+        else access
+        for access in variant.ir.accesses
+    )
+    return dataclasses.replace(variant, ir=variant.ir.with_(accesses=accesses))
+
+
+class TestConstantFootprints:
+    def test_footprint_bytes_keeps_an_ir_statically_priced(self):
+        variant = _with_footprint_bytes(make_axpy_variant("v"), 4096.0)
+        assert statically_priced(variant.ir)
+
+    def test_footprint_value_is_part_of_the_key_and_the_cost(
+        self, quiet_config
+    ):
+        """IRs differing only in ``footprint_bytes`` never share an entry."""
+        model = CostModel(make_cpu(quiet_config))
+        base = make_axpy_variant("v", AccessPattern.GATHER, trips=16)
+        small = _with_footprint_bytes(base, 1024.0)
+        large = _with_footprint_bytes(base, 1e9)
+        args = make_axpy_args(32, quiet_config)
+        units = WorkRange(0, 32)
+        assert ir_hash(small.ir) != ir_hash(large.ir)
+        assert model._memo_key(small, args, units) != model._memo_key(
+            large, args, units
+        )
+        small_cycles = model.workgroup_cycles(small, args, units)
+        large_cycles = model.workgroup_cycles(large, args, units)
+        assert cost_memo_stats() == {"entries": 2, "hits": 0, "misses": 2}
+        assert not np.array_equal(small_cycles, large_cycles)
+
+    @pytest.mark.parametrize("case_id", ["sgemm", "stencil", "kmeans", "cutcp"])
+    def test_memo_hits_match_uncached_and_closure_pricing(self, case_id):
+        """Catalog cases with constant footprints hit the memo exactly.
+
+        A hit equals the uncached derivation bit for bit, and both equal
+        pricing the same IR with the footprint written as an evaluator
+        closure (the form these workloads used before the static field).
+        """
+        from tests.differential.test_differential import build_case
+
+        case, device, _config = build_case(case_id)
+        model = CostModel(device)
+        args = case.fresh_args()
+        units = WorkRange(0, case.workload_units)
+        assert any(
+            access.footprint_bytes is not None
+            for variant in case.pool.variants
+            for access in variant.ir.accesses
+        )
+        for variant in case.pool.variants:
+            assert statically_priced(variant.ir), variant.name
+            cold = model.workgroup_cycles(variant, args, units)
+            hits = cost_memo_stats()["hits"]
+            warm = model.workgroup_cycles(variant, args, units)
+            assert cost_memo_stats()["hits"] == hits + 1, variant.name
+            uncached = model._workgroup_cycles_uncached(variant, args, units)
+            assert np.array_equal(warm, cold) and np.array_equal(warm, uncached)
+            closures = tuple(
+                dataclasses.replace(
+                    access,
+                    footprint_bytes=None,
+                    footprint_hint=lambda a, ids, b=access.footprint_bytes: (
+                        np.full(ids.shape, b)
+                    ),
+                )
+                if access.footprint_bytes is not None
+                else access
+                for access in variant.ir.accesses
+            )
+            closure_variant = dataclasses.replace(
+                variant, ir=variant.ir.with_(accesses=closures)
+            )
+            assert np.array_equal(
+                warm,
+                model._workgroup_cycles_uncached(closure_variant, args, units),
+            ), variant.name
+
+
+class TestOneTripEvaluation:
+    def test_each_data_dependent_bound_runs_once_per_pricing_call(
+        self, quiet_config
+    ):
+        """Flops, every access scope and loop bookkeeping share one
+        evaluation of each loop bound."""
+        calls = {"outer": 0, "inner": 0}
+
+        def counting(name, value):
+            def evaluator(args, unit_ids):
+                calls[name] += 1
+                return np.full(np.asarray(unit_ids).size, value)
+
+            return evaluator
+
+        ir = KernelIR(
+            loops=(
+                Loop("outer", LoopBound(evaluator=counting("outer", 3.0))),
+                Loop("mid", LoopBound(static_trips=2)),
+                Loop("inner", LoopBound(evaluator=counting("inner", 5.0))),
+            ),
+            accesses=(
+                MemoryAccess(
+                    "x", False, AccessPattern.UNIT_STRIDE, 4.0, loop="inner"
+                ),
+                MemoryAccess(
+                    "x",
+                    False,
+                    AccessPattern.GATHER,
+                    4.0,
+                    scope=("outer", "inner"),
+                ),
+                MemoryAccess(
+                    "y", True, AccessPattern.UNIT_STRIDE, 4.0, loop="outer"
+                ),
+            ),
+            flops_per_trip=2.0,
+        )
+        model = CostModel(make_cpu(quiet_config))
+        args = make_axpy_args(8, quiet_config)
+        ids = np.arange(8, dtype=np.int64)
+        breakdown = model.unit_costs(ir, args, ids)
+        assert calls == {"outer": 1, "inner": 1}
+        model.unit_costs(ir, args, ids)
+        assert calls == {"outer": 2, "inner": 2}
+        assert np.all(breakdown.compute_cycles > 0)
 
 
 def _memo_keys():

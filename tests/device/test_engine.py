@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.device.engine import (
-    FAST_BATCH_THRESHOLD,
-    ExecutionEngine,
-    Priority,
-)
+from repro.device import engine as engine_mod
+from repro.device.engine import ExecutionEngine, Priority
 from repro.errors import EngineError
 from repro.kernel import AccessPattern, WorkRange
 from tests.conftest import (
@@ -166,10 +163,14 @@ class TestMeasurement:
 
 
 class TestFastBatch:
-    def test_fast_batch_matches_event_path_roughly(self, cpu, quiet_config):
+    def test_fast_batch_matches_event_path_roughly(
+        self, cpu, quiet_config, monkeypatch
+    ):
         """The analytic makespan must track the event-driven one."""
         variant = make_axpy_variant("v", trips=50)
-        units = FAST_BATCH_THRESHOLD + 100
+        # Large enough that the split's second launch overhead stays
+        # inside the tolerance.
+        units = 4196
         args = make_axpy_args(units, quiet_config)
 
         fast_engine = ExecutionEngine(cpu, quiet_config)
@@ -177,7 +178,8 @@ class TestFastBatch:
         fast_engine.wait(task)
         fast_span = task.true_span_cycles
 
-        # Split into two sub-threshold halves to force the event path.
+        # Split into two halves on the event path.
+        monkeypatch.setattr(engine_mod, "FAST_BATCH_THRESHOLD", 10**9)
         slow_engine = ExecutionEngine(cpu, quiet_config)
         first = slow_engine.submit(variant, args, WorkRange(0, units // 2))
         slow_engine.wait(first)

@@ -1,10 +1,10 @@
-"""Equivalence harness: event, fast-batch, and vectorized paths agree.
+"""Equivalence harness: the event and fast-batch paths agree.
 
 Extends ``test_fast_batch_property``: where that suite drives one
 single-task batch, this one runs whole *scenarios* — contended
 mixed-priority queues, interleaved host polls and waits, deadline
 waits with injected hangs, latency faults, noise on and off — through
-each of the engine's three scheduling paths and asserts exact equality
+both of the engine's scheduling paths and asserts exact equality
 of every observable: task intervals, measured cycles, host clock,
 utilization, unit free times, launch counts, trace events, and output
 buffers.  Zero tolerance: comparisons are ``==`` / ``array_equal``,
@@ -42,37 +42,27 @@ from tests.conftest import (  # noqa: E402
     make_axpy_variant,
 )
 
-#: The three scheduling paths, as (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH)
-#: forcings.  ``event`` never reaches the analytic drain; ``fast`` drains
-#: analytically but group-by-group; ``vectorized`` additionally collapses
-#: equal-duration batches into the numpy closed form.
+#: The two scheduling paths, as FAST_BATCH_THRESHOLD forcings.  ``event``
+#: never reaches the analytic drain; ``fast`` drains analytically.
 PATHS = {
-    "event": (10**9, False),
-    "fast": (1, False),
-    "vectorized": (1, True),
+    "event": 10**9,
+    "fast": 1,
 }
 
 
 class _ForcedPath:
-    """Context manager pinning the engine's path-selection constants."""
+    """Context manager pinning the engine's fast-batch threshold."""
 
-    def __init__(self, threshold: int, vectorized: bool) -> None:
-        self.forced = (threshold, vectorized)
+    def __init__(self, threshold: int) -> None:
+        self.forced = threshold
 
     def __enter__(self):
-        self.saved = (
-            engine_mod.FAST_BATCH_THRESHOLD,
-            engine_mod.VECTORIZED_BATCH,
-        )
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.forced
-        )
+        self.saved = engine_mod.FAST_BATCH_THRESHOLD
+        engine_mod.FAST_BATCH_THRESHOLD = self.forced
         return self
 
     def __exit__(self, *exc):
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.saved
-        )
+        engine_mod.FAST_BATCH_THRESHOLD = self.saved
         return False
 
 
@@ -111,9 +101,9 @@ def assert_snapshots_equal(reference, other, label):
         assert np.array_equal(ref_y, other_y), (label, "outputs")
 
 
-def run_scenario(config, plan, threshold, vectorized, engine_cls=ExecutionEngine):
+def run_scenario(config, plan, threshold, engine_cls=ExecutionEngine):
     """Drive one submit/poll/wait scenario under a forced path."""
-    with _ForcedPath(threshold, vectorized):
+    with _ForcedPath(threshold):
         engine = engine_cls(make_cpu(config), config)
         tasks, argsets = [], []
         for step in plan:
@@ -175,10 +165,9 @@ def test_scenarios_agree_across_all_paths(plan, noisy, root_seed):
     config = ReproConfig(seed=root_seed)
     if not noisy:
         config = config.without_noise()
-    reference = run_scenario(config, plan, *PATHS["event"])
-    for label in ("fast", "vectorized"):
-        result = run_scenario(config, plan, *PATHS[label])
-        assert_snapshots_equal(reference, result, label)
+    reference = run_scenario(config, plan, PATHS["event"])
+    result = run_scenario(config, plan, PATHS["fast"])
+    assert_snapshots_equal(reference, result, "fast")
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -188,8 +177,8 @@ def test_deadline_waits_and_hang_cleanup_agree(noisy):
     if not noisy:
         config = config.without_noise()
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(threshold):
+        with _ForcedPath(threshold):
             engine = ExecutionEngine(make_cpu(config), config)
             plan = FaultPlan(
                 [FaultRule(kind=FaultKind.HANG, variant="hung")], seed=3
@@ -216,14 +205,13 @@ def test_deadline_waits_and_hang_cleanup_agree(noisy):
             engine.barrier()
             return snapshot(engine, [hung, good], [hung_args, good_args])
 
-    reference = run(*PATHS["event"])
-    for label in ("fast", "vectorized"):
-        assert_snapshots_equal(reference, run(*PATHS[label]), label)
+    reference = run(PATHS["event"])
+    assert_snapshots_equal(reference, run(PATHS["fast"]), "fast")
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_latency_faults_agree(noisy):
-    """Injected latency scaling perturbs all three paths identically."""
+    """Injected latency scaling perturbs both paths identically."""
     config = ReproConfig(seed=11)
     if not noisy:
         config = config.without_noise()
@@ -239,8 +227,8 @@ def test_latency_faults_agree(noisy):
         }
     ] * 3
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(threshold):
+        with _ForcedPath(threshold):
             engine = ExecutionEngine(make_cpu(config), config)
             engine.injector = FaultInjector(
                 FaultPlan(
@@ -272,9 +260,8 @@ def test_latency_faults_agree(noisy):
             engine.barrier()
             return snapshot(engine, tasks, argsets)
 
-    reference = run(*PATHS["event"])
-    for label in ("fast", "vectorized"):
-        assert_snapshots_equal(reference, run(*PATHS[label]), label)
+    reference = run(PATHS["event"])
+    assert_snapshots_equal(reference, run(PATHS["fast"]), "fast")
 
 
 @pytest.mark.parametrize(
@@ -293,8 +280,8 @@ def test_traced_launches_identical_and_reconcile(fast_slow_pool, mode, flow):
     """
     units = 192
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(threshold):
+        with _ForcedPath(threshold):
             config = dataclasses.replace(ReproConfig(), trace=True)
             runtime = DySelRuntime(make_cpu(config), config)
             runtime.register_pool(fast_slow_pool)
@@ -321,26 +308,23 @@ def test_traced_launches_identical_and_reconcile(fast_slow_pool, mode, flow):
                 args["y"].data, copy=True
             )
 
-    ref_result, ref_events, ref_problems, ref_y = run(*PATHS["event"])
+    ref_result, ref_events, ref_problems, ref_y = run(PATHS["event"])
     assert ref_problems == []
-    for label in ("fast", "vectorized"):
-        result, events, problems, y = run(*PATHS[label])
-        assert problems == [], label
-        assert events == ref_events, label
-        assert result.elapsed_cycles == ref_result.elapsed_cycles, label
-        assert result.selected == ref_result.selected, label
-        assert np.array_equal(y, ref_y), label
+    result, events, problems, y = run(PATHS["fast"])
+    assert problems == []
+    assert events == ref_events
+    assert result.elapsed_cycles == ref_result.elapsed_cycles
+    assert result.selected == ref_result.selected
+    assert np.array_equal(y, ref_y)
 
 
-def test_vectorized_closed_form_engages(quiet_config):
+def test_forced_paths_engage(quiet_config):
     """Vacuity guard: the forcings exercise the machinery they claim to.
 
-    Under the vectorized forcing the analytic drain *and* the numpy
-    closed form must both fire on an uncontended equal-duration batch;
-    under the fast forcing only the drain fires; under the event forcing
-    neither does.
+    Under the fast forcing the analytic drain must fire on an
+    uncontended batch; under the event forcing it must not.
     """
-    drained, collapsed = [], []
+    drained = []
 
     class Probe(ExecutionEngine):
         def _try_fast_batch(self, horizon):
@@ -349,22 +333,16 @@ def test_vectorized_closed_form_engages(quiet_config):
                 drained.append(True)
             return result
 
-        def _vector_rounds(self, arrival, d, count, busy):
-            collapsed.append(True)
-            return super()._vector_rounds(arrival, d, count, busy)
-
-    def run(threshold, vectorized):
+    def run(threshold):
         drained.clear()
-        collapsed.clear()
-        with _ForcedPath(threshold, vectorized):
+        with _ForcedPath(threshold):
             variant = make_axpy_variant("v", trips=16)
             args = make_axpy_args(64, quiet_config)
             engine = Probe(make_cpu(quiet_config), quiet_config)
             engine.wait(
                 engine.submit(variant, args, WorkRange(0, 64), measure=True)
             )
-        return bool(drained), bool(collapsed)
+        return bool(drained)
 
-    assert run(*PATHS["vectorized"]) == (True, True)
-    assert run(*PATHS["fast"]) == (True, False)
-    assert run(*PATHS["event"]) == (False, False)
+    assert run(PATHS["fast"])
+    assert not run(PATHS["event"])

@@ -1,14 +1,14 @@
-"""Golden refresh guard: the vectorized hot path changes no output.
+"""Golden refresh guard: the analytic drain changes no output.
 
 ``test_differential`` checks each launch against ``goldens.json`` under
 whatever path the engine picks by default.  This guard removes the
 "whatever the engine picks": every catalog case × mode × flow runs twice
-— once with the analytic/vectorized drain forced *on* for all batch
-sizes, once with it forced *off* (pure event machinery) — and the two
-output digests must agree with each other and with the recorded golden.
-A divergence here is the exact regression the vectorization work could
-introduce: a schedule change that moves a slice boundary or flips a
-winner while each individual run still looks self-consistent.
+— once with the analytic drain forced *on* for all batch sizes, once
+with it forced *off* (pure event machinery) — and the two output
+digests must agree with each other and with the recorded golden.  A
+divergence here is the exact regression a drain change could introduce:
+a schedule change that moves a slice boundary or flips a winner while
+each individual run still looks self-consistent.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ from .test_differential import (
     output_digest,
 )
 
-#: (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH) forcings under test.
+#: FAST_BATCH_THRESHOLD forcings under test.
 FORCINGS = {
-    "vectorized-on": (1, True),
-    "vectorized-off": (10**9, False),
+    "drain-on": 1,
+    "drain-off": 10**9,
 }
 
 
-def _launch_digest(case_id, mode, flow, threshold, vectorized):
-    saved = (engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH)
+def _launch_digest(case_id, mode, flow, threshold):
+    saved = engine_mod.FAST_BATCH_THRESHOLD
     engine_mod.FAST_BATCH_THRESHOLD = threshold
-    engine_mod.VECTORIZED_BATCH = vectorized
     try:
         case, device, config = build_case(case_id)
         runtime = DySelRuntime(device, config)
@@ -57,11 +56,11 @@ def _launch_digest(case_id, mode, flow, threshold, vectorized):
             )
         assert case.validate(args), (
             f"{case_id} diverges from its reference with "
-            f"threshold={threshold}, vectorized={vectorized}"
+            f"threshold={threshold}"
         )
         return output_digest(case, args), result.selected
     finally:
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = saved
+        engine_mod.FAST_BATCH_THRESHOLD = saved
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.value)
@@ -73,17 +72,17 @@ def test_forced_paths_agree_with_each_other_and_the_golden(
     if REGEN:
         pytest.skip("golden regeneration runs the primary suite only")
     digests = {
-        label: _launch_digest(case_id, mode, flow, threshold, vectorized)
-        for label, (threshold, vectorized) in FORCINGS.items()
+        label: _launch_digest(case_id, mode, flow, threshold)
+        for label, threshold in FORCINGS.items()
     }
-    on_digest, on_selected = digests["vectorized-on"]
-    off_digest, off_selected = digests["vectorized-off"]
+    on_digest, on_selected = digests["drain-on"]
+    off_digest, off_selected = digests["drain-off"]
     assert on_digest == off_digest, (
-        f"{case_id}/{mode.value}/{flow.value}: vectorized drain changed "
+        f"{case_id}/{mode.value}/{flow.value}: analytic drain changed "
         "the committed output composition"
     )
     assert on_selected == off_selected, (
-        f"{case_id}/{mode.value}/{flow.value}: vectorized drain changed "
+        f"{case_id}/{mode.value}/{flow.value}: analytic drain changed "
         f"the selection ({on_selected!r} vs {off_selected!r})"
     )
     key = f"{case_id}/{mode.value}/{flow.value}"
