@@ -17,7 +17,12 @@ solvers profile once (:mod:`~repro.core.selection`,
 
 from ..modes import OrchestrationFlow, ProfilingMode
 from .api import DySelContext
-from .policy import PlacementCandidate, PlacementDecision, decide_placement
+from .policy import (
+    LaunchIntent,
+    PlacementCandidate,
+    PlacementDecision,
+    decide_placement,
+)
 from .registry import DySelKernelRegistry
 from .runtime import DySelRuntime, LaunchResult
 from .selection import SelectionCache, SelectionRecord, VariantMeasurement
@@ -26,6 +31,7 @@ __all__ = [
     "DySelContext",
     "DySelKernelRegistry",
     "DySelRuntime",
+    "LaunchIntent",
     "LaunchResult",
     "OrchestrationFlow",
     "PlacementCandidate",

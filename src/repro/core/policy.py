@@ -17,6 +17,7 @@ with an explicit reason.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -29,13 +30,88 @@ from ..predict import Prediction
 from .selection import SelectionCache, SelectionRecord
 
 
+class IntentKind(enum.Enum):
+    """The closed set of things a caller can ask of one launch."""
+
+    PROFILE = "profile"
+    REPLAY = "replay"
+    REPROFILE = "reprofile"
+    DEFER = "defer"
+
+
+@dataclass(frozen=True)
+class LaunchIntent:
+    """What the caller wants from one launch, decided once.
+
+    Build one with :meth:`profile`, :meth:`replay`, :meth:`reprofile` or
+    :meth:`defer`.  ``variant`` is a replay's pinned variant or a
+    re-profile's fallback (the variant to serve when the re-profile is
+    moot); ``prediction`` is a profile's confident model guess
+    (:mod:`repro.predict`).  Any other combination raises, so mixes such
+    as "pinned and profiling" or "drift and deferred" cannot be written.
+    """
+
+    kind: IntentKind
+    variant: Optional[str] = None
+    prediction: Optional[Prediction] = None
+
+    def __post_init__(self) -> None:
+        kind = self.kind
+        if (self.variant is not None and self.profiling_requested) or (
+            self.prediction is not None and kind is not IntentKind.PROFILE
+        ):
+            raise LaunchError(f"a {kind.value} intent cannot carry {self!r}")
+
+    @classmethod
+    def profile(cls, prediction: Optional[Prediction] = None) -> "LaunchIntent":
+        """Micro-profile, unless a confident ``prediction`` applies."""
+        return cls(IntentKind.PROFILE, prediction=prediction)
+
+    @classmethod
+    def replay(cls, pinned: Optional[str] = None) -> "LaunchIntent":
+        """Run ``pinned`` (if still valid), else cached, else default."""
+        return cls(IntentKind.REPLAY, variant=pinned)
+
+    @classmethod
+    def reprofile(cls, fallback: Optional[str] = None) -> "LaunchIntent":
+        """Re-profile for drift; replay ``fallback`` when that is moot."""
+        return cls(IntentKind.REPROFILE, variant=fallback)
+
+    @classmethod
+    def defer(cls) -> "LaunchIntent":
+        """Backpressure: run the best known variant, do not profile."""
+        return cls(IntentKind.DEFER)
+
+    @property
+    def profiling_requested(self) -> bool:
+        """Whether the caller asked for a micro-profile (paper §3.1)."""
+        return self.kind in (IntentKind.PROFILE, IntentKind.DEFER)
+
+
+class Basis(enum.Enum):
+    """The :func:`decide` rule that fired for one launch."""
+
+    DRIFT = "drift"
+    PROFILE = "profile"
+    PINNED = "pinned"
+    CACHED = "cached"
+    DEFAULT = "default"
+    SMALL_WORKLOAD = "small-workload"
+    SINGLE_VARIANT = "single-variant"
+    SINGLE_CANDIDATE = "single-candidate"
+    PREDICTED = "predicted"
+    DEFERRED = "deferred"
+
+
 @dataclass(frozen=True)
 class LaunchDecision:
-    """Whether to profile this launch, and which variant to use if not."""
+    """Whether to profile this launch, which variant to use if not, and
+    which rule said so (``basis``; ``reason`` is its human-readable text)."""
 
     profile: bool
-    variant_name: Optional[str] = None
-    reason: str = ""
+    variant_name: Optional[str]
+    reason: str
+    basis: Basis
 
 
 def _validated_cached(
@@ -70,148 +146,79 @@ def _validated_cached(
     return None, stale_note
 
 
-def _base_groups(pool: VariantPool, workload_units: int) -> int:
-    """Work-groups of the finest-grained variant (the §2.1 size proxy)."""
-    return workload_units // max(1, min(v.wa_factor for v in pool.variants))
-
-
 def decide(
     pool: VariantPool,
     workload_units: int,
-    profiling_requested: bool,
+    intent: LaunchIntent,
     cache: SelectionCache,
     config: ReproConfig,
     tracer: Tracer = NULL_TRACER,
     now: float = 0.0,
-    pinned_variant: Optional[str] = None,
-    drift_rearm: bool = False,
     dominated: Sequence[str] = (),
-    predicted: Optional[Prediction] = None,
-    deferred: bool = False,
 ) -> LaunchDecision:
     """Resolve the profiling decision for one launch.
 
-    Precedence: an explicit ``profiling=False`` wins (use the pinned
-    variant if given, else the cached selection if one exists *and still
-    names a pool variant*, else the pool's default); a cached selection is
-    reused only when the caller deactivated profiling — re-requesting
-    profiling re-profiles, which is how callers handle changed inputs; a
-    small workload deactivates profiling regardless.
+    Precedence, strongest first:
 
-    ``drift_rearm`` is the drift loop's override (:mod:`repro.drift`):
-    a confirmed throughput drift re-arms profiling for exactly this
-    launch even though the caller deactivated it, *unless* the workload
-    is too small to profile or the pool has nothing to select — then the
-    re-arm is moot and the normal profiling-off path runs (the caller's
-    claim should be released so a later, larger launch retries).
-
-    ``pinned_variant`` is the serving layer's instruction (persistent
-    selection store, :mod:`repro.serve`): run exactly this variant without
-    profiling.  It is validated against the current pool like a cached
-    selection — a pinned name the pool no longer contains is ignored with
-    an explicit reason rather than launched blind.
-
-    ``dominated`` names variants the static cost-bound analysis excluded
-    from the micro-profiling candidate set
-    (:mod:`repro.analyze.dominance`): they stay in the correctness pool,
-    but profiling plans are built over the survivors only, and when a
-    single candidate survives, profiling is skipped outright — its
-    outcome is statically known.  Each exclusion is recorded in the
-    decision reason as ``"statically dominated"``.
-
-    ``predicted`` is the serving layer's model guess
-    (:mod:`repro.predict`), already vetted against the confidence
-    threshold by the caller.  It is deliberately the *weakest* input:
-    it only converts a launch that would otherwise micro-profile into a
-    profiling-off run of the predicted variant (``"predicted
-    selection"``), so it can never override the small-workload,
-    single-variant, pinned, or quarantine gates (a quarantined variant
-    is not in ``pool`` at all), never applies to a drift re-arm (the
-    episode wants a real measurement), and only chooses among the
-    dominance survivors — a predicted variant the static analysis
-    excluded falls back to profiling with an explicit note.
-
-    ``deferred`` is the serving layer's profiling *backpressure* flag
-    (:mod:`repro.serve.qos`): the fleet is overloaded, so a launch that
-    would micro-profile (or re-profile for drift) runs profiling-off on
-    the best variant already known — cached selection if valid, else the
-    pool default — with an explicit ``"deferred by backpressure"``
-    reason.  Deferral is *weaker than prediction* (a confident predicted
-    variant still serves; it costs no profiling) and irrelevant to every
-    branch that was not going to profile anyway (pinned, cached,
-    small-workload, single-variant, profiling-off).
+    1. ``reprofile`` (confirmed drift, :mod:`repro.drift`) profiles when
+       the workload is large enough and the pool has something to
+       select; otherwise the re-profile is moot and the launch replays
+       the intent's fallback variant (the caller releases its claim so
+       a later, larger launch retries).
+    2. ``replay`` (activation flag off) runs the pinned variant if it is
+       still in the pool, else the cached selection if it still names a
+       pool variant, else the pool default.  A stale pin or cache entry
+       is noted in the reason, never launched blind.
+    3. ``profile`` and ``defer`` yield to a small workload (§2.1) and to
+       a single-variant pool.
+    4. ``dominated`` names variants the static cost-bound analysis
+       excluded from micro-profiling (:mod:`repro.analyze.dominance`).
+       They stay in the correctness pool; a lone survivor is chosen
+       outright, and every exclusion is noted as ``"statically
+       dominated"``.
+    5. A ``profile`` intent's prediction (:mod:`repro.predict`, vetted
+       against the confidence threshold by the caller) runs the
+       predicted variant when it is a profiling candidate; otherwise the
+       launch profiles with an explicit note.
+    6. ``defer`` (profiling backpressure, :mod:`repro.serve.qos`) runs
+       profiling-off on the cached selection if valid, else the pool
+       default, with a ``"deferred by backpressure"`` reason.
 
     ``tracer``/``now`` report cache traffic to :mod:`repro.obs` when
     tracing is on (``now`` is the engine clock at decision time).
     """
     cached, stale_note = _validated_cached(pool, cache, tracer, now)
-    if (
-        drift_rearm
-        and not profiling_requested
-        and len(pool.variants) > 1
-        and _base_groups(pool, workload_units)
-        >= config.small_workload_threshold
-    ):
-        if deferred:
-            return _deferred_decision(
-                pool, cached, stale_note, kind="drift re-profile"
-            )
-        return LaunchDecision(profile=True, reason="drift re-activation")
-    if pinned_variant is not None and not profiling_requested:
-        if pinned_variant in pool.variant_names:
-            return LaunchDecision(
-                profile=False,
-                variant_name=pinned_variant,
-                reason="profiling deactivated; pinned selection reused",
-            )
-        stale_note += (
-            f"pinned selection {pinned_variant!r} is not in the current "
-            f"pool (variants: {list(pool.variant_names)}); "
-        )
-    if not profiling_requested:
-        if cached is not None:
-            if tracer.enabled:
-                tracer.instant(
-                    EventKind.CACHE_HIT,
-                    pool.name,
-                    now,
-                    selected=cached.selected,
-                )
-            return LaunchDecision(
-                profile=False,
-                variant_name=cached.selected,
-                reason="profiling deactivated; cached selection reused",
-            )
-        return LaunchDecision(
-            profile=False,
-            variant_name=pool.initial_default,
-            reason=(
-                f"profiling deactivated; {stale_note}no cached selection, "
-                "using default"
-            ),
-        )
+    kind = intent.kind
+    if kind is IntentKind.REPLAY:
+        return _replay(pool, intent.variant, cached, stale_note, tracer, now)
+    # Work-groups of the finest-grained variant: the §2.1 size proxy.
+    base_groups = workload_units // max(1, min(v.wa_factor for v in pool.variants))
+    small = base_groups < config.small_workload_threshold
+    if kind is IntentKind.REPROFILE:
+        if len(pool.variants) > 1 and not small:
+            return LaunchDecision(True, None, "drift re-activation", Basis.DRIFT)
+        return _replay(pool, intent.variant, cached, stale_note, tracer, now)
 
-    base_groups = _base_groups(pool, workload_units)
-    if base_groups < config.small_workload_threshold:
+    if small:
         if cached is not None and tracer.enabled:
             tracer.instant(
                 EventKind.CACHE_HIT, pool.name, now, selected=cached.selected
             )
         name = cached.selected if cached is not None else pool.initial_default
         return LaunchDecision(
-            profile=False,
-            variant_name=name,
-            reason=(
-                f"small workload ({base_groups} work-groups < "
-                f"{config.small_workload_threshold}); profiling deactivated"
-            ),
+            False,
+            name,
+            f"small workload ({base_groups} work-groups < "
+            f"{config.small_workload_threshold}); profiling deactivated",
+            Basis.SMALL_WORKLOAD,
         )
 
     if len(pool.variants) == 1:
         return LaunchDecision(
-            profile=False,
-            variant_name=pool.variants[0].name,
-            reason="single-variant pool; nothing to select",
+            False,
+            pool.variants[0].name,
+            "single-variant pool; nothing to select",
+            Basis.SINGLE_VARIANT,
         )
 
     excluded = tuple(n for n in dominated if n in pool.variant_names)
@@ -224,67 +231,82 @@ def decide(
         )
         if len(survivors) == 1:
             return LaunchDecision(
-                profile=False,
-                variant_name=survivors[0],
-                reason=(
-                    f"single non-dominated candidate; {note}; "
-                    "profiling skipped"
-                ),
+                False,
+                survivors[0],
+                f"single non-dominated candidate; {note}; profiling skipped",
+                Basis.SINGLE_CANDIDATE,
             )
         notes = f"; {note}"
 
-    if predicted is not None and not drift_rearm:
+    predicted = intent.prediction
+    if predicted is not None:
         if predicted.variant in survivors:
             return LaunchDecision(
-                profile=False,
-                variant_name=predicted.variant,
-                reason=(
-                    f"predicted selection ({predicted.variant!r}, "
-                    f"confidence {predicted.confidence:.2f})"
-                    f"{notes}"
-                ),
+                False,
+                predicted.variant,
+                f"predicted selection ({predicted.variant!r}, "
+                f"confidence {predicted.confidence:.2f}){notes}",
+                Basis.PREDICTED,
             )
         notes += (
             f"; predicted {predicted.variant!r} is not a profiling "
             "candidate"
         )
 
-    if deferred:
-        return _deferred_decision(
-            pool, cached, stale_note, kind="micro-profile", notes=notes
-        )
-    return LaunchDecision(profile=True, reason=f"profiling activated{notes}")
-
-
-def _deferred_decision(
-    pool: VariantPool,
-    cached: Optional[SelectionRecord],
-    stale_note: str,
-    kind: str,
-    notes: str = "",
-) -> LaunchDecision:
-    """A backpressure-deferred launch: profiling-off on the known best.
-
-    ``kind`` names what was postponed (``"micro-profile"`` for a cold
-    class, ``"drift re-profile"`` for a confirmed-drift re-arm) so
-    deferral accounting can tell the two apart from the reason alone.
-    """
-    if cached is not None:
+    if kind is IntentKind.DEFER:
+        if cached is not None:
+            name, using = cached.selected, "using cached selection"
+        else:
+            name, using = pool.initial_default, f"{stale_note}using pool default"
         return LaunchDecision(
-            profile=False,
-            variant_name=cached.selected,
-            reason=(
-                f"{kind} deferred by backpressure; "
-                f"using cached selection{notes}"
-            ),
+            False,
+            name,
+            f"micro-profile deferred by backpressure; {using}{notes}",
+            Basis.DEFERRED,
         )
     return LaunchDecision(
-        profile=False,
-        variant_name=pool.initial_default,
-        reason=(
-            f"{kind} deferred by backpressure; "
-            f"{stale_note}using pool default{notes}"
-        ),
+        True, None, f"profiling activated{notes}", Basis.PROFILE
+    )
+
+
+def _replay(
+    pool: VariantPool,
+    pinned: Optional[str],
+    cached: Optional[SelectionRecord],
+    stale_note: str,
+    tracer: Tracer,
+    now: float,
+) -> LaunchDecision:
+    """A profiling-off launch: the pinned variant, cached, or default."""
+    if pinned is not None:
+        if pinned in pool.variant_names:
+            return LaunchDecision(
+                False,
+                pinned,
+                "profiling deactivated; pinned selection reused",
+                Basis.PINNED,
+            )
+        stale_note += (
+            f"pinned selection {pinned!r} is not in the current "
+            f"pool (variants: {list(pool.variant_names)}); "
+        )
+    if cached is not None:
+        if tracer.enabled:
+            tracer.instant(
+                EventKind.CACHE_HIT, pool.name, now, selected=cached.selected
+            )
+        return LaunchDecision(
+            False,
+            cached.selected,
+            "profiling deactivated; cached selection reused",
+            Basis.CACHED,
+        )
+    return LaunchDecision(
+        False,
+        pool.initial_default,
+        f"profiling deactivated; {stale_note}no cached selection, "
+        "using default",
+        Basis.DEFAULT,
     )
 
 

@@ -28,7 +28,7 @@ from a recorded trace.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -38,6 +38,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..analyze.diagnostics import VerificationReport
@@ -55,7 +56,6 @@ from ..config import ReproConfig
 from ..device.base import Device
 from ..device.cost import invalidate_cost_memo, ir_hash
 from ..device.engine import ExecutionEngine, Priority
-from ..drift import DriftConfig, DriftSignal, ReselectionController
 from ..errors import (
     AnalysisError,
     LaunchAbortedError,
@@ -71,8 +71,8 @@ from ..kernel.kernel import KernelSpec, KernelVariant, WorkRange
 from ..kernel.launch import LaunchConfig
 from ..modes import OrchestrationFlow, ProfilingMode
 from ..obs.events import EventKind
-from ..predict import Prediction
 from . import policy
+from .policy import Basis, IntentKind, LaunchIntent
 from .orchestrator import _run_batch_with_fallback, run_async, run_sync
 from .productive import ProfilingPlan, plan_profiling
 from .registry import DySelKernelRegistry
@@ -89,7 +89,9 @@ class LaunchResult:
 
     ``elapsed_cycles`` covers everything the evaluation's timing covers
     (paper §4.1): profiling time, profiling launch overheads, and the
-    remaining workload's compute time.
+    remaining workload's compute time.  ``basis`` names the
+    :func:`policy.decide` rule that fired; demotions after the decision
+    (plan infeasible, faults) keep it and extend ``reason``.
     """
 
     kernel: str
@@ -100,6 +102,7 @@ class LaunchResult:
     start_cycles: float
     end_cycles: float
     reason: str = ""
+    basis: Optional[Basis] = None
     record: Optional[SelectionRecord] = None
     eager_chunks: int = 0
     eager_units: int = 0
@@ -156,14 +159,6 @@ class DySelRuntime:
             Tuple[str, Tuple[str, ...]],
             Tuple[VariantPool, VariantPool, Tuple[str, ...]],
         ] = {}
-        #: Optional drift feedback loop (:mod:`repro.drift`): when armed
-        #: via :meth:`enable_drift`, profiling-off launches feed their
-        #: measured cycles per unit into the detector and a confirmed
-        #: drift re-arms profiling for the next launch of that kernel.
-        #: ``None`` (the default) keeps the runtime's behaviour exactly
-        #: as before — the serving layer drives its own controller per
-        #: workload class instead.
-        self.drift: Optional[ReselectionController] = None
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing)
@@ -185,62 +180,6 @@ class DySelRuntime:
     def clear_faults(self) -> None:
         """Remove any installed fault injector (back to clean runs)."""
         self.engine.injector = None
-
-    # ------------------------------------------------------------------
-    # Drift adaptation
-    # ------------------------------------------------------------------
-
-    def enable_drift(
-        self,
-        config: Optional[DriftConfig] = None,
-        controller: Optional[ReselectionController] = None,
-    ) -> ReselectionController:
-        """Arm the drift → re-profile feedback loop on this runtime.
-
-        With drift enabled, every profiling-off launch feeds its measured
-        cycles per workload unit into a per-kernel
-        :class:`~repro.drift.DriftDetector`; a confirmed throughput
-        change re-arms the profiling activation flag for the next launch
-        of that kernel (``policy.decide`` reason
-        ``"drift re-activation"``), and the re-selection episode is
-        recorded on the returned controller.  Pass ``controller`` to
-        share one across runtimes (the serving layer does its own wiring
-        through the selection store instead).
-        """
-        if controller is not None:
-            self.drift = controller
-        else:
-            self.drift = ReselectionController(config)
-        return self.drift
-
-    def _observe_drift(
-        self, kernel_sig: str, result: LaunchResult, workload_units: int
-    ) -> None:
-        """Feed one profiling-off launch into the drift loop (if armed)."""
-        if (
-            self.drift is None
-            or workload_units <= 0
-            or result.elapsed_cycles <= 0.0
-        ):
-            return
-        cycles_per_unit = result.elapsed_cycles / workload_units
-        signal = self.drift.observe(
-            kernel_sig, kernel_sig, result.selected, cycles_per_unit
-        )
-        if signal is DriftSignal.NONE or not self.tracer.enabled:
-            return
-        kind = (
-            EventKind.DRIFT_SUSPECT
-            if signal is DriftSignal.SUSPECT
-            else EventKind.DRIFT_CONFIRMED
-        )
-        self.tracer.instant(
-            kind,
-            kernel_sig,
-            self.engine.now,
-            variant=result.selected,
-            cycles_per_unit=cycles_per_unit,
-        )
 
     def add_invalidation_hook(
         self, hook: Callable[[str, str], None]
@@ -353,17 +292,13 @@ class DySelRuntime:
         kernel_sig: str,
         args: Mapping[str, object],
         workload_units: int,
-        profiling: bool = True,
+        profiling: Union[bool, LaunchIntent] = True,
         mode: Optional[ProfilingMode] = None,
         flow: OrchestrationFlow = OrchestrationFlow.ASYNC,
         initial_variant: Optional[str] = None,
         override_side_effects: bool = False,
-        pinned_variant: Optional[str] = None,
         stream_name: Optional[str] = None,
-        drift_rearm: bool = False,
-        predicted: Optional[Prediction] = None,
         work_range: Optional[WorkRange] = None,
-        deferred: bool = False,
     ) -> LaunchResult:
         """Launch a kernel (``DySelLaunchKernel``, Fig 6b).
 
@@ -376,8 +311,13 @@ class DySelRuntime:
         workload_units:
             Total workload units of this launch.
         profiling:
-            The profiling activation flag (§3.1): off reuses the cached
-            selection (or the pool default).
+            The profiling activation flag (§3.1): ``True`` profiles,
+            ``False`` reuses the cached selection (or the pool default).
+            The serving layer passes a :class:`~repro.core.policy.LaunchIntent`
+            instead — a pinned replay, a drift re-profile, a predicted
+            profile, or a backpressure deferral — which
+            :func:`policy.decide` resolves against the stronger gates
+            (small workload, single variant, quarantine, dominance).
         mode:
             Productive profiling mode override; defaults to the compiler's
             recommendation from uniform-workload/side-effect analyses.
@@ -391,31 +331,11 @@ class DySelRuntime:
             atomics are race-free across work-groups, downgrading the
             verifier's conservative atomics findings from ERROR to
             WARNING so fully/hybrid profiling stays available.
-        pinned_variant:
-            With ``profiling=False``, run exactly this variant (the
-            serving layer's persisted-selection replay); validated
-            against the current pool before use.
         stream_name:
             Stream to attribute a profiling-off batch submission to (the
             serving layer tags each admitted request with its leased
             stream so traces show per-request queues).  Profiled launches
             manage their own per-candidate streams and ignore this.
-        drift_rearm:
-            External drift override (the serving layer's
-            :class:`~repro.drift.ReselectionController` confirmed a
-            throughput change for this request's workload class): with
-            ``profiling=False``, re-arm profiling for exactly this
-            launch.  When the runtime's own drift loop is armed
-            (:meth:`enable_drift`) the flag is raised internally and
-            callers never need to pass it.
-        predicted:
-            The serving layer's confident model guess
-            (:class:`repro.predict.Prediction`): with ``profiling=True``,
-            lets the policy skip the micro-profile and run the predicted
-            variant outright — but only when it survives every stronger
-            gate (small workload, single variant, quarantine filtering,
-            dominance exclusion, drift re-arm); otherwise the launch
-            profiles exactly as if no prediction existed.
         work_range:
             Execute only this half-open sub-range of the workload's units
             (the fleet scheduler's work splitting,
@@ -425,22 +345,16 @@ class DySelRuntime:
             parts already wrote disjoint slices.  ``workload_units`` must
             equal ``len(work_range)`` (it is this call's unit count, and
             what LAUNCH_BEGIN records, so ranged traces still reconcile).
-            A ranged launch never micro-profiles: profiling, drift
-            re-arms, and predictions are demoted to a profiling-off run
-            with an explicit reason — split parts ride the selection
-            their class already has; only whole launches pay or re-pay
-            the profile.
-        deferred:
-            The serving layer's profiling-backpressure flag
-            (:mod:`repro.serve.qos`): the fleet is overloaded, so any
-            branch that would micro-profile (or drift-re-profile) runs
-            profiling-off on the cached selection or pool default with a
-            ``"deferred by backpressure"`` reason instead.  Confident
-            predictions still serve (they cost no profiling); branches
-            that were not going to profile are unaffected.
+            A ranged launch never micro-profiles: any intent but a replay
+            is demoted to an unpinned replay with an explicit reason —
+            split parts ride the selection their class already has; only
+            whole launches pay or re-pay the profile.
         """
         if kernel_sig not in self.registry:
             raise LaunchError(f"kernel {kernel_sig!r} is not registered")
+        intent = profiling
+        if not isinstance(intent, LaunchIntent):
+            intent = LaunchIntent.profile() if intent else LaunchIntent.replay()
         ranged_note = ""
         if work_range is not None:
             if len(work_range) != workload_units:
@@ -449,11 +363,9 @@ class DySelRuntime:
                     f"covers {len(work_range)} unit(s) but workload_units="
                     f"{workload_units}; pass the range's own unit count"
                 )
-            if profiling or drift_rearm or predicted is not None:
+            if intent.kind is not IntentKind.REPLAY:
                 ranged_note = "; ranged launch never profiles"
-            profiling = False
-            drift_rearm = False
-            predicted = None
+                intent = LaunchIntent.replay()
         if self.engine.injector is not None:
             self.engine.injector.kernel = kernel_sig
         pool = self._active_pool(kernel_sig, self.registry.pool(kernel_sig))
@@ -470,7 +382,7 @@ class DySelRuntime:
                 kernel_sig,
                 self.engine.now,
                 workload_units=workload_units,
-                profiling_requested=profiling,
+                profiling_requested=intent.profiling_requested,
                 requested_flow=flow.value,
                 requested_mode=mode.value if mode is not None else None,
                 launch_index=self.engine.launch_count,
@@ -483,7 +395,7 @@ class DySelRuntime:
                     else {}
                 ),
             )
-            if dominated and profiling:
+            if dominated and intent.profiling_requested:
                 tracer.instant(
                     EventKind.DOMINANCE_PRUNE,
                     kernel_sig,
@@ -494,49 +406,28 @@ class DySelRuntime:
                     device_kind=self.device.kind,
                 )
 
-        claimed_drift = False
-        if (
-            not profiling
-            and not drift_rearm
-            and work_range is None
-            and self.drift is not None
-            and self.drift.should_rearm(kernel_sig)
-        ):
-            claimed_drift = self.drift.claim(kernel_sig)
         decision = policy.decide(
             pool,
             workload_units,
-            profiling,
+            intent,
             self.cache,
             self.config,
             tracer,
             self.engine.now,
-            pinned_variant=pinned_variant,
-            drift_rearm=drift_rearm or claimed_drift,
-            dominated=dominated,
-            predicted=predicted,
-            deferred=deferred,
+            dominated,
         )
         if not decision.profile:
-            if claimed_drift:
-                # The re-arm was moot for this launch (too small to
-                # profile, nothing to select); let a later launch retry.
-                self.drift.release(kernel_sig)
             if ranged_note:
-                decision = policy.LaunchDecision(
-                    profile=False,
-                    variant_name=decision.variant_name,
-                    reason=decision.reason + ranged_note,
+                decision = replace(
+                    decision, reason=decision.reason + ranged_note
                 )
-            result = self._launch_without_profiling(
+            return self._launch_without_profiling(
                 pool,
                 launch,
                 decision,
                 stream_name=stream_name,
                 work_range=work_range,
             )
-            self._observe_drift(kernel_sig, result, workload_units)
-            return result
 
         effective_mode = mode if mode is not None else pool.mode
         assert effective_mode is not None
@@ -615,8 +506,6 @@ class DySelRuntime:
         if planned is None:
             # Nothing profilable fits this launch: run the pool default
             # without profiling instead of failing the launch.
-            if claimed_drift:
-                self.drift.release(kernel_sig)
             note = (
                 "profiling plan infeasible; demoted to profiling-off with "
                 "the pool default"
@@ -624,7 +513,8 @@ class DySelRuntime:
             return self._launch_without_profiling(
                 pool,
                 launch,
-                policy.LaunchDecision(
+                replace(
+                    decision,
                     profile=False,
                     variant_name=pool.initial_default,
                     reason=reason + "; " + note,
@@ -650,10 +540,9 @@ class DySelRuntime:
                     initial_variant=initial_variant,
                 )
         except ProfilingFaultError as exc:
-            if claimed_drift:
-                self.drift.release(kernel_sig)
+            so_far = replace(decision, reason=reason)
             return self._degrade_after_faults(
-                kernel_sig, pool, launch, reason, exc, stream_name
+                kernel_sig, pool, launch, so_far, exc, stream_name
             )
         self.cache.record(outcome.record)
         if outcome.faults:
@@ -668,22 +557,12 @@ class DySelRuntime:
             start_cycles=outcome.start_cycles,
             end_cycles=outcome.end_cycles,
             reason=reason,
+            basis=decision.basis,
             record=outcome.record,
             eager_chunks=outcome.eager_chunks,
             eager_units=outcome.eager_units,
             profiling_latency_cycles=outcome.profiling_latency_cycles,
         )
-        if claimed_drift:
-            episode = self.drift.complete(kernel_sig, result.selected)
-            if episode is not None and tracer.enabled:
-                tracer.instant(
-                    EventKind.RESELECTION,
-                    kernel_sig,
-                    self.engine.now,
-                    stale_variant=episode.stale_variant,
-                    new_variant=result.selected,
-                    reselected=episode.reselected,
-                )
         if tracer.enabled:
             tracer.instant(
                 EventKind.LAUNCH_END,
@@ -907,7 +786,7 @@ class DySelRuntime:
         kernel_sig: str,
         pool: VariantPool,
         launch: LaunchConfig,
-        reason: str,
+        decision: policy.LaunchDecision,
         exc: ProfilingFaultError,
         stream_name: Optional[str],
     ) -> LaunchResult:
@@ -954,10 +833,11 @@ class DySelRuntime:
         return self._launch_without_profiling(
             pool,
             launch,
-            policy.LaunchDecision(
+            replace(
+                decision,
                 profile=False,
                 variant_name=default,
-                reason=reason + "; " + note,
+                reason=decision.reason + "; " + note,
             ),
             stream_name=stream_name,
         )
@@ -1046,6 +926,7 @@ class DySelRuntime:
             start_cycles=start,
             end_cycles=self.engine.now,
             reason=reason,
+            basis=decision.basis,
         )
         if self.tracer.enabled:
             if task is not None:

@@ -5,7 +5,7 @@ application decides when its inputs changed enough to re-profile.  A
 serving fleet cannot ask the programmer, so
 :class:`ReselectionController` closes the loop mechanically:
 
-1. every profiling-off launch's measured cycles per unit feeds the
+1. every store-served launch's measured cycles per unit feeds the
    :class:`~repro.drift.monitor.DriftMonitor`;
 2. a **confirmed** drift signal opens a :class:`DriftEpisode` for the
    class, *demotes* the stale persisted selection (TTL-style decay via
@@ -71,7 +71,6 @@ class ReselectionController:
     def __init__(
         self,
         config: Optional[DriftConfig] = None,
-        monitor: Optional[DriftMonitor] = None,
         decay_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         """Build a controller.
@@ -81,9 +80,7 @@ class ReselectionController:
         outside the controller lock (it may take the store lock).
         """
         self.config = config if config is not None else DriftConfig()
-        self.monitor = (
-            monitor if monitor is not None else DriftMonitor(self.config)
-        )
+        self.monitor = DriftMonitor(self.config)
         self.decay_hook = decay_hook
         self._lock = threading.Lock()
         self._pending: Dict[str, DriftEpisode] = {}

@@ -91,10 +91,9 @@ class EventKind(enum.Enum):
       gate); ``args`` carries the reason and the confidence when one
       was computed.
 
-    Drift-adaptation (emitted by whoever drives the
-    :mod:`repro.drift` feedback loop — the scheduler on its sequence
-    timeline, a standalone runtime on device cycles).  All three are
-    instants, so a drifting trace still reconciles cleanly:
+    Drift-adaptation (emitted by the scheduler, which drives the
+    :mod:`repro.drift` feedback loop, on its sequence timeline).  All
+    three are instants, so a drifting trace still reconciles cleanly:
 
     * ``DRIFT_SUSPECT`` — a workload class's throughput crossed the
       Page–Hinkley threshold once; awaiting confirmation.

@@ -473,95 +473,79 @@ class TraceSummary:
         return "\n".join(lines)
 
 
+#: Kinds whose every event bumps one :class:`TraceSummary` counter.
+SUMMARY_COUNTERS: Mapping[EventKind, str] = {
+    EventKind.PROFILE_SPAN: "profile_spans",
+    EventKind.CACHE_HIT: "cache_hits",
+    EventKind.CACHE_INVALIDATE: "cache_invalidations",
+    EventKind.PLAN_DEMOTION: "plan_demotions",
+    EventKind.SELECTION_UPDATE: "selection_updates",
+    EventKind.HOST_POLL: "host_polls",
+    EventKind.SERVE_ENQUEUE: "serve_enqueued",
+    EventKind.SERVE_ADMIT: "serve_admitted",
+    EventKind.PROFILE_LEASE_GRANT: "lease_grants",
+    EventKind.PROFILE_LEASE_STEAL: "lease_steals",
+    EventKind.STORE_HIT: "store_hits",
+    EventKind.STORE_EVICT: "store_evictions",
+    EventKind.PREDICTION: "predictions",
+    EventKind.PREDICTION_FALLBACK: "prediction_fallbacks",
+    EventKind.PLACEMENT: "placements",
+    EventKind.SPLIT_LAUNCH: "split_launches",
+    EventKind.DRIFT_SUSPECT: "drift_suspects",
+    EventKind.DRIFT_CONFIRMED: "drift_confirmations",
+    EventKind.RESELECTION: "reselections",
+    EventKind.DOMINANCE_PRUNE: "dominance_prunes",
+    EventKind.DEADLINE_MISS: "deadline_misses",
+    EventKind.PROFILE_DEFERRED: "profile_deferrals",
+    EventKind.FAULT_INJECT: "faults_injected",
+    EventKind.FAULT_RETRY: "fault_retries",
+    EventKind.VARIANT_QUARANTINE: "quarantines",
+    EventKind.LAUNCH_DEGRADED: "degraded_launches",
+    EventKind.TASK_CANCEL: "cancelled_tasks",
+}
+
+#: Kinds deliberately left out of the counters (``events_by_kind`` still
+#: tallies them).  Every other kind is either in ``SUMMARY_COUNTERS`` or
+#: read explicitly by :func:`summarize` for its arguments.
+SUMMARY_UNCOUNTED = frozenset(
+    {EventKind.TASK_SUBMIT, EventKind.HOST_WAIT, EventKind.BARRIER}
+)
+
+
 def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
     """Fold a trace into :class:`TraceSummary` counters."""
     summary = TraceSummary()
+    by_kind = summary.events_by_kind
     for event in events:
         kind = event.kind
-        summary.events_by_kind[kind.value] = (
-            summary.events_by_kind.get(kind.value, 0) + 1
-        )
+        by_kind[kind.value] = by_kind.get(kind.value, 0) + 1
+        counter = SUMMARY_COUNTERS.get(kind)
+        if counter is not None:
+            setattr(summary, counter, getattr(summary, counter) + 1)
+            continue
+        args = event.args
         if kind is EventKind.LAUNCH_BEGIN:
             summary.launches += 1
-            summary.workload_units += int(
-                event.args.get("workload_units", 0)  # type: ignore[arg-type]
-            )
+            summary.workload_units += int(args.get("workload_units", 0))  # type: ignore[arg-type]
         elif kind is EventKind.LAUNCH_END:
             summary.total_elapsed_cycles += float(
-                event.args.get("elapsed_cycles", 0.0)  # type: ignore[arg-type]
+                args.get("elapsed_cycles", 0.0)  # type: ignore[arg-type]
             )
             summary.profiling_latency_cycles += float(
-                event.args.get("profiling_latency_cycles", 0.0)  # type: ignore[arg-type]
+                args.get("profiling_latency_cycles", 0.0)  # type: ignore[arg-type]
             )
-            if event.args.get("profiled"):
-                summary.profiled_launches += 1
-        elif kind is EventKind.PROFILE_SPAN:
-            summary.profile_spans += 1
+            summary.profiled_launches += int(bool(args.get("profiled")))
         elif kind is EventKind.EAGER_CHUNK:
             summary.eager_chunks += 1
-            summary.eager_units += int(event.args.get("units", 0))  # type: ignore[arg-type]
+            summary.eager_units += int(args.get("units", 0))  # type: ignore[arg-type]
         elif kind is EventKind.REMAINDER_BATCH:
-            summary.remainder_units += int(event.args.get("units", 0))  # type: ignore[arg-type]
-        elif kind is EventKind.CACHE_HIT:
-            summary.cache_hits += 1
-        elif kind is EventKind.CACHE_INVALIDATE:
-            summary.cache_invalidations += 1
+            summary.remainder_units += int(args.get("units", 0))  # type: ignore[arg-type]
         elif kind is EventKind.GATE_DECISION:
-            if event.args.get("demoted"):
-                summary.gate_demotions += 1
-        elif kind is EventKind.PLAN_DEMOTION:
-            summary.plan_demotions += 1
-        elif kind is EventKind.SELECTION_UPDATE:
-            summary.selection_updates += 1
-        elif kind is EventKind.HOST_POLL:
-            summary.host_polls += 1
-        elif kind is EventKind.SERVE_ENQUEUE:
-            summary.serve_enqueued += 1
-        elif kind is EventKind.SERVE_ADMIT:
-            summary.serve_admitted += 1
-        elif kind is EventKind.PROFILE_LEASE_GRANT:
-            summary.lease_grants += 1
-        elif kind is EventKind.PROFILE_LEASE_STEAL:
-            summary.lease_steals += 1
-        elif kind is EventKind.STORE_HIT:
-            summary.store_hits += 1
-        elif kind is EventKind.STORE_EVICT:
-            summary.store_evictions += 1
-        elif kind is EventKind.PREDICTION:
-            summary.predictions += 1
-        elif kind is EventKind.PREDICTION_FALLBACK:
-            summary.prediction_fallbacks += 1
-        elif kind is EventKind.PLACEMENT:
-            summary.placements += 1
-        elif kind is EventKind.SPLIT_LAUNCH:
-            summary.split_launches += 1
-        elif kind is EventKind.DRIFT_SUSPECT:
-            summary.drift_suspects += 1
-        elif kind is EventKind.DRIFT_CONFIRMED:
-            summary.drift_confirmations += 1
-        elif kind is EventKind.RESELECTION:
-            summary.reselections += 1
-        elif kind is EventKind.DOMINANCE_PRUNE:
-            summary.dominance_prunes += 1
+            summary.gate_demotions += int(bool(args.get("demoted")))
         elif kind is EventKind.ADMISSION:
-            if event.args.get("admitted", True):
-                summary.admissions += 1
-            else:
-                summary.admission_rejects += 1
-        elif kind is EventKind.DEADLINE_MISS:
-            summary.deadline_misses += 1
-        elif kind is EventKind.PROFILE_DEFERRED:
-            summary.profile_deferrals += 1
-        elif kind is EventKind.FAULT_INJECT:
-            summary.faults_injected += 1
-        elif kind is EventKind.FAULT_RETRY:
-            summary.fault_retries += 1
-        elif kind is EventKind.VARIANT_QUARANTINE:
-            summary.quarantines += 1
-        elif kind is EventKind.LAUNCH_DEGRADED:
-            summary.degraded_launches += 1
-        elif kind is EventKind.TASK_CANCEL:
-            summary.cancelled_tasks += 1
+            admitted = bool(args.get("admitted", True))
+            summary.admissions += int(admitted)
+            summary.admission_rejects += int(not admitted)
     return summary
 
 

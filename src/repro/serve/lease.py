@@ -42,13 +42,10 @@ class ProfileLeaseTable:
     #: else and still fresh — the caller should run eagerly instead).
     GRANTED = "granted"
     STOLEN = "stolen"
-    #: :meth:`defer` result: the class *would* have profiled but
-    #: backpressure postponed the lease.  No lease entry is created —
-    #: the class stays cold and the next requester after pressure
-    #: clears races for a real grant — but the deferral is accounted,
-    #: so "never profiled because untrained/eager" and "never profiled
-    #: because deferred by backpressure" stay distinguishable (the same
-    #: distinction ``PREDICTION_FALLBACK`` reasons draw).
+    #: The serve outcome's lease state when the class *would* have
+    #: profiled but backpressure postponed it.  No lease entry is
+    #: created — the class stays cold and the next requester after
+    #: pressure clears races for a real grant.
     DEFERRED = "deferred"
 
     def __init__(
@@ -67,10 +64,6 @@ class ProfileLeaseTable:
         self._leases: Dict[str, ProfileLease] = {}
         self._lock = threading.Lock()
         self.steals = 0
-        self.grants = 0
-        #: Total micro-profiles postponed by backpressure.
-        self.deferrals = 0
-        self._deferred_keys: Dict[str, int] = {}
 
     def acquire(self, key: str, holder: int) -> Optional[str]:
         """Try to take the profiling lease for a workload class.
@@ -84,7 +77,6 @@ class ProfileLeaseTable:
             lease = self._leases.get(key)
             if lease is None:
                 self._leases[key] = ProfileLease(key, holder, now)
-                self.grants += 1
                 return self.GRANTED
             if (
                 self.timeout is not None
@@ -126,27 +118,6 @@ class ProfileLeaseTable:
         finally:
             if grant is not None:
                 self.release(key, holder)
-
-    def defer(self, key: str) -> str:
-        """Record one backpressure deferral for a cold class.
-
-        Returns :data:`DEFERRED`.  Deliberately creates *no* lease entry:
-        a deferred request runs profiling-off and publishes nothing, so
-        the class must stay open for a real :meth:`acquire` once
-        pressure clears — a lease entry here would wedge the class until
-        the steal timeout.
-        """
-        with self._lock:
-            self.deferrals += 1
-            self._deferred_keys[key] = self._deferred_keys.get(key, 0) + 1
-            return self.DEFERRED
-
-    def deferred_count(self, key: Optional[str] = None) -> int:
-        """Deferrals recorded for one class (or in total)."""
-        with self._lock:
-            if key is None:
-                return self.deferrals
-            return self._deferred_keys.get(key, 0)
 
     def held(self, key: str) -> bool:
         """Whether any (possibly stale) lease exists for this class."""

@@ -17,8 +17,8 @@ no shedding.  :class:`AdmissionController` puts a QoS layer in front:
   load cannot starve background tenants forever (strict priority would).
 - **Profiling backpressure**: queue pressure (waiting / bound) crossing
   ``defer_watermark`` flips the controller into *deferring* mode — the
-  scheduler then runs cold classes on their stored/predicted/default
-  variant instead of taking new micro-profile leases — and pressure
+  scheduler then runs cold classes on the device's cached selection or
+  the pool default instead of taking new micro-profile leases — and pressure
   falling to ``resume_watermark`` flips it back (hysteresis, so the flag
   does not flap at the boundary).  DySel's asynchronous flow makes the
   deferral legal: profiling is an optimization overlapped with

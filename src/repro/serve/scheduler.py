@@ -54,6 +54,9 @@ from ..compiler.variants import VariantPool
 from ..config import ReproConfig
 from ..core.policy import (
     PLACEMENT_POLICIES,
+    Basis,
+    IntentKind,
+    LaunchIntent,
     PlacementCandidate,
     PlacementDecision,
     decide_placement,
@@ -72,7 +75,7 @@ from ..predict import Prediction
 from .lease import ProfileLeaseTable
 from .qos import AdmissionController, QoSConfig, TenantSpec
 from .signature import WorkloadSignature, derive_signature
-from .store import SelectionStore
+from .store import SelectionStore, StoreEntry
 
 #: Default streams (= concurrently admitted requests) per device.
 DEFAULT_STREAMS_PER_DEVICE = 4
@@ -166,7 +169,7 @@ class ServeOutcome:
     #: Whether a persisted selection served this request.
     store_hit: bool
     #: ``"granted"``/``"stolen"`` when this request held the profile
-    #: lease, else ``None``.
+    #: lease, ``"deferred"`` when backpressure postponed it, else ``None``.
     lease: Optional[str]
     #: Admission sequence number (the scheduler-trace time axis).
     sequence: int
@@ -1147,27 +1150,15 @@ class LaunchScheduler:
 
         entry = self.store.lookup(key)
         lease: Optional[str] = None
-        pinned: Optional[str] = None
-        profiling = False
-        deferred = False
         drift = self.store.drift
-        drift_rearm = False
-        prediction: Optional[Prediction] = None
         with contextlib.ExitStack() as stack:
-            if work_range is not None:
-                if entry is not None:
-                    pinned = entry.selected
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EventKind.STORE_HIT,
-                            request.kernel,
-                            float(seq),
-                            workload_class=key,
-                            selected=entry.selected,
-                            samples=entry.samples,
-                        )
-            elif entry is not None:
-                if drift is not None and drift.should_rearm(key):
+            if entry is not None:
+                intent = LaunchIntent.replay(entry.selected)
+                if (
+                    work_range is None
+                    and drift is not None
+                    and drift.should_rearm(key)
+                ):
                     if self._defer_profiling():
                         # Backpressure: leave the drift episode open (no
                         # claim consumed) and serve pinned; a launch
@@ -1184,28 +1175,21 @@ class LaunchScheduler:
                             self.leases.holding(key, seq)
                         )
                         if lease is not None:
-                            drift_rearm = True
+                            intent = LaunchIntent.reprofile(entry.selected)
                         else:
                             drift.release(key)
-                if not drift_rearm:
-                    pinned = entry.selected
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EventKind.STORE_HIT,
-                            request.kernel,
-                            float(seq),
-                            workload_class=key,
-                            selected=entry.selected,
-                            samples=entry.samples,
-                        )
+                if intent.kind is IntentKind.REPLAY:
+                    self._trace_store_hit(request, key, seq, entry)
+            elif work_range is not None:
+                intent = LaunchIntent.replay()
             elif self._defer_profiling():
                 # Overload: run this cold class on the policy's best
                 # known variant without racing for the lease, publishing
                 # nothing — the class stays cold, so profiling resumes
                 # (and the store still converges to the measured oracle)
                 # once pressure clears.
-                lease = self.leases.defer(key)
-                deferred = True
+                lease = ProfileLeaseTable.DEFERRED
+                intent = LaunchIntent.defer()
                 self._record_deferral(
                     request, key, seq, what="micro-profile"
                 )
@@ -1214,7 +1198,7 @@ class LaunchScheduler:
                 # raises (fault-aborted, verification refusal) cannot
                 # wedge the class's lease until the steal timeout.
                 lease = stack.enter_context(self.leases.holding(key, seq))
-                profiling = lease is not None
+                intent = LaunchIntent.replay()
                 if lease is not None and self.tracer.enabled:
                     kind = (
                         EventKind.PROFILE_LEASE_GRANT
@@ -1229,12 +1213,11 @@ class LaunchScheduler:
                         device=worker.name,
                     )
                 if lease is not None:
-                    prediction = self._consult_predictor(request, key, seq)
+                    intent = LaunchIntent.profile(
+                        self._consult_predictor(request, key, seq)
+                    )
 
-            held = lease in (
-                ProfileLeaseTable.GRANTED,
-                ProfileLeaseTable.STOLEN,
-            )
+            rearmed = intent.kind is IntentKind.REPROFILE
             result = None
             try:
                 with worker.lock:
@@ -1242,47 +1225,44 @@ class LaunchScheduler:
                         request.kernel,
                         request.args,
                         request.workload_units,
-                        profiling=profiling or deferred,
+                        profiling=intent,
                         mode=request.mode,
                         flow=request.flow,
-                        pinned_variant=pinned,
                         stream_name=stream.name,
-                        drift_rearm=drift_rearm,
-                        predicted=prediction,
                         work_range=work_range,
-                        deferred=deferred,
                     )
-                worker.complete(estimate, result.elapsed_cycles)
-                if held:
-                    predicted = self._prediction_applied(prediction, result)
-                    self._publish(
-                        key, request, result, predicted=predicted
-                    )
-                    self._trace_prediction(
-                        request, key, seq, prediction, predicted
-                    )
-                    if result.profiled:
-                        self._close_drift_episode(
-                            key,
-                            request,
-                            result,
-                            seq,
-                            stale_predicted=(
-                                entry is not None and entry.predicted
-                            ),
-                        )
-                    elif drift_rearm:
-                        # The runtime demoted the re-armed launch to
-                        # profiling-off; the episode stays open for the
-                        # next launch to retry.
-                        drift.release(key)
             finally:
                 if result is None:
                     worker.abort(estimate)
-                    if drift_rearm:
+                    if rearmed:
                         drift.release(key)
+            worker.complete(estimate, result.elapsed_cycles)
+            if rearmed and not result.profiled:
+                # Moot (too small to profile, nothing to select) or
+                # demoted by the runtime: the episode stays open for a
+                # later launch to retry.
+                drift.release(key)
+            if rearmed and result.basis is not Basis.DRIFT:
+                # A moot re-arm replayed the class's entry: a store hit
+                # that publishes nothing.
+                rearmed = False
+                self._trace_store_hit(request, key, seq, entry)
+            elif intent.kind in (IntentKind.PROFILE, IntentKind.REPROFILE):
+                # The lease holder publishes what it measured (or ran).
+                predicted = self._account_prediction(
+                    request, key, seq, intent.prediction, result
+                )
+                self._publish(key, request, result, predicted=predicted)
+                if result.profiled:
+                    self._close_drift_episode(
+                        key,
+                        request,
+                        result,
+                        seq,
+                        stale_predicted=entry is not None and entry.predicted,
+                    )
 
-        served_from_store = entry is not None and not drift_rearm
+        served_from_store = entry is not None and not rearmed
         self._observe_drift(key, request, result, served_from_store, seq)
         self._account(request, worker, result, served_from_store)
         return ServeOutcome(
@@ -1296,6 +1276,20 @@ class LaunchScheduler:
             sequence=seq,
             placement=placement,
         )
+
+    def _trace_store_hit(
+        self, request: ServeRequest, key: str, seq: int, entry: StoreEntry
+    ) -> None:
+        """Trace one launch served from the class's store entry."""
+        if self.tracer.enabled:
+            self.tracer.instant(
+                EventKind.STORE_HIT,
+                request.kernel,
+                float(seq),
+                workload_class=key,
+                selected=entry.selected,
+                samples=entry.samples,
+            )
 
     def _consult_predictor(
         self, request: ServeRequest, key: str, seq: int
@@ -1314,61 +1308,43 @@ class LaunchScheduler:
         candidate = predictor.predict(key)
         if predictor.confident(candidate):
             return candidate
-        with self._stats_lock:
-            self.stats.prediction_fallbacks += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                EventKind.PREDICTION_FALLBACK,
-                request.kernel,
-                float(seq),
-                workload_class=key,
-                reason=(
-                    "untrained" if candidate is None else "below threshold"
-                ),
-                confidence=(
-                    None if candidate is None else candidate.confidence
-                ),
-            )
+        self._prediction_fallback(
+            request,
+            key,
+            seq,
+            "untrained" if candidate is None else "below threshold",
+            None if candidate is None else candidate.confidence,
+        )
         return None
 
-    @staticmethod
-    def _prediction_applied(
-        prediction: Optional[Prediction], result: LaunchResult
-    ) -> bool:
-        """Whether the launch actually ran on the predicted selection.
-
-        The policy may reject a prediction (drift re-arm, dominance
-        exclusion, variant gone from the pool) or resolve the launch by
-        a stronger gate whose fallback variant merely coincides with the
-        guess — only an explicit ``"predicted selection"`` decision
-        counts.
-        """
-        return (
-            prediction is not None
-            and not result.profiled
-            and result.selected == prediction.variant
-            and result.reason.startswith("predicted selection")
-        )
-
-    def _trace_prediction(
+    def _account_prediction(
         self,
         request: ServeRequest,
         key: str,
         seq: int,
         prediction: Optional[Prediction],
-        applied: bool,
-    ) -> None:
-        """Account one lease-held launch's prediction outcome."""
+        result: LaunchResult,
+    ) -> bool:
+        """Account a lease holder's prediction; whether the launch ran it.
+
+        The policy may reject a prediction (dominance exclusion, variant
+        gone from the pool) or resolve the launch by a stronger gate
+        whose fallback variant merely coincides with the guess — only a
+        decision whose basis is the prediction counts.
+        """
         if prediction is None:
-            return
+            return False
+        if (
+            result.basis is not Basis.PREDICTED
+            or result.selected != prediction.variant
+        ):
+            self._prediction_fallback(
+                request, key, seq, "rejected by policy", prediction.confidence
+            )
+            return False
         with self._stats_lock:
-            if applied:
-                self.stats.predicted_launches += 1
-            else:
-                self.stats.prediction_fallbacks += 1
-        if not self.tracer.enabled:
-            return
-        if applied:
+            self.stats.predicted_launches += 1
+        if self.tracer.enabled:
             self.tracer.instant(
                 EventKind.PREDICTION,
                 request.kernel,
@@ -1377,14 +1353,27 @@ class LaunchScheduler:
                 variant=prediction.variant,
                 confidence=prediction.confidence,
             )
-        else:
+        return True
+
+    def _prediction_fallback(
+        self,
+        request: ServeRequest,
+        key: str,
+        seq: int,
+        reason: str,
+        confidence: Optional[float],
+    ) -> None:
+        """Account one cold class that profiles despite an armed predictor."""
+        with self._stats_lock:
+            self.stats.prediction_fallbacks += 1
+        if self.tracer.enabled:
             self.tracer.instant(
                 EventKind.PREDICTION_FALLBACK,
                 request.kernel,
                 float(seq),
                 workload_class=key,
-                reason="rejected by policy",
-                confidence=prediction.confidence,
+                reason=reason,
+                confidence=confidence,
             )
 
     def _publish(
@@ -1442,7 +1431,6 @@ class LaunchScheduler:
         if (
             drift is None
             or not served_from_store
-            or result.profiled
             or request.workload_units <= 0
             or result.elapsed_cycles <= 0.0
         ):

@@ -14,7 +14,7 @@ import pytest
 from repro.compiler.variants import VariantPool
 from repro.config import AnalyzeSettings, ReproConfig
 from repro.core import DySelRuntime
-from repro.core.policy import SelectionCache, decide
+from repro.core.policy import LaunchIntent, SelectionCache, decide
 from repro.device import make_cpu
 from repro.kernel import KernelSpec
 from repro.obs.events import EventKind
@@ -105,8 +105,7 @@ class TestPrunedProfiling:
             "axpy",
             args,
             UNITS,
-            profiling=False,
-            pinned_variant="v_x100",
+            profiling=LaunchIntent.replay("v_x100"),
         )
         assert result.selected == "v_x100"
         assert axpy_output_ok(args)
@@ -141,7 +140,7 @@ class TestDecideWithDominated:
         return decide(
             pool,
             workload_units=UNITS,
-            profiling_requested=True,
+            intent=LaunchIntent.profile(),
             cache=SelectionCache(),
             config=ReproConfig(),
             dominated=dominated,

@@ -1,12 +1,17 @@
 """Unit tests for the launch-time profiling policy."""
 
 from repro.core import policy
+from repro.core.policy import LaunchIntent
 from repro.core.selection import (
     SelectionCache,
     SelectionRecord,
     VariantMeasurement,
 )
 from repro.modes import OrchestrationFlow, ProfilingMode
+
+#: The paper's activation flag, on and off.
+ON = LaunchIntent.profile()
+OFF = LaunchIntent.replay()
 
 
 def cached(kernel="axpy", selected="slow"):
@@ -26,29 +31,29 @@ def cached(kernel="axpy", selected="slow"):
 class TestDecide:
     def test_profiles_large_workload(self, fast_slow_pool, config):
         decision = policy.decide(
-            fast_slow_pool, 100000, True, SelectionCache(), config
+            fast_slow_pool, 100000, ON, SelectionCache(), config
         )
         assert decision.profile
 
     def test_small_workload_deactivates(self, fast_slow_pool, config):
-        decision = policy.decide(fast_slow_pool, 16, True, SelectionCache(), config)
+        decision = policy.decide(fast_slow_pool, 16, ON, SelectionCache(), config)
         assert not decision.profile
         assert decision.variant_name == "fast"  # pool default
         assert "small workload" in decision.reason
 
     def test_small_workload_uses_cache_if_present(self, fast_slow_pool, config):
-        decision = policy.decide(fast_slow_pool, 16, True, cached(), config)
+        decision = policy.decide(fast_slow_pool, 16, ON, cached(), config)
         assert not decision.profile
         assert decision.variant_name == "slow"
 
     def test_flag_off_uses_cached_selection(self, fast_slow_pool, config):
-        decision = policy.decide(fast_slow_pool, 100000, False, cached(), config)
+        decision = policy.decide(fast_slow_pool, 100000, OFF, cached(), config)
         assert not decision.profile
         assert decision.variant_name == "slow"
 
     def test_flag_off_without_cache_uses_default(self, fast_slow_pool, config):
         decision = policy.decide(
-            fast_slow_pool, 100000, False, SelectionCache(), config
+            fast_slow_pool, 100000, OFF, SelectionCache(), config
         )
         assert not decision.profile
         assert decision.variant_name == "fast"
@@ -56,7 +61,7 @@ class TestDecide:
     def test_reprofiling_allowed_with_cache(self, fast_slow_pool, config):
         """An explicit profiling=True re-profiles even with a cache entry
         (how callers handle changed inputs)."""
-        decision = policy.decide(fast_slow_pool, 100000, True, cached(), config)
+        decision = policy.decide(fast_slow_pool, 100000, ON, cached(), config)
         assert decision.profile
 
     def test_single_variant_never_profiles(self, axpy_spec, config):
@@ -64,7 +69,7 @@ class TestDecide:
         from tests.conftest import make_axpy_variant
 
         pool = VariantPool(spec=axpy_spec, variants=(make_axpy_variant("only"),))
-        decision = policy.decide(pool, 100000, True, SelectionCache(), config)
+        decision = policy.decide(pool, 100000, ON, SelectionCache(), config)
         assert not decision.profile
         assert decision.variant_name == "only"
 
@@ -74,7 +79,7 @@ class TestDecide:
         """Regression: a cached winner that no longer names a pool variant
         must not launch — fall back to the default, with the reason."""
         cache = cached(selected="removed-by-reregistration")
-        decision = policy.decide(fast_slow_pool, 100000, False, cache, config)
+        decision = policy.decide(fast_slow_pool, 100000, OFF, cache, config)
         assert not decision.profile
         assert decision.variant_name == "fast"  # pool default
         assert "not in the current pool" in decision.reason
@@ -85,7 +90,7 @@ class TestDecide:
         self, fast_slow_pool, config
     ):
         cache = cached(selected="gone")
-        decision = policy.decide(fast_slow_pool, 16, True, cache, config)
+        decision = policy.decide(fast_slow_pool, 16, ON, cache, config)
         assert not decision.profile
         assert decision.variant_name == "fast"
         assert cache.lookup("axpy") is None
@@ -96,7 +101,7 @@ class TestDecide:
         tracer = RecordingTracer()
         cache = cached(selected="gone")
         policy.decide(
-            fast_slow_pool, 100000, False, cache, config, tracer, 7.0
+            fast_slow_pool, 100000, OFF, cache, config, tracer, 7.0
         )
         (event,) = [
             e for e in tracer.events if e.kind is EventKind.CACHE_INVALIDATE
@@ -108,7 +113,7 @@ class TestDecide:
         from repro.obs import EventKind, RecordingTracer
 
         tracer = RecordingTracer()
-        policy.decide(fast_slow_pool, 100000, False, cached(), config, tracer)
+        policy.decide(fast_slow_pool, 100000, OFF, cached(), config, tracer)
         (event,) = [
             e for e in tracer.events if e.kind is EventKind.CACHE_HIT
         ]
@@ -127,4 +132,4 @@ class TestDecide:
             ),
         )
         # 200 units = 200 fine groups (>128): profiling stays on.
-        assert policy.decide(pool, 200, True, SelectionCache(), config).profile
+        assert policy.decide(pool, 200, ON, SelectionCache(), config).profile

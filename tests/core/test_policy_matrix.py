@@ -1,11 +1,14 @@
 """Exhaustive matrix over ``policy.decide``'s inputs.
 
 Every combination of (activation flag x cache state x workload size x
-pinned selection x drift re-arm x pool shape) is checked against an
-independent oracle of the documented precedence, proving each
-``LaunchDecision.reason`` branch reachable and the mapping stable.  A
-directed section covers the quarantine interaction (the runtime filters
-barred variants *before* ``decide`` sees the pool).
+pinned selection x drift re-arm x pool shape) that a launch intent can
+express is checked against an independent oracle of the documented
+precedence: the flag, pin and drift axes map onto one
+:class:`~repro.core.policy.LaunchIntent` (``intent_for``), and the
+oracle names the ``LaunchDecision.basis`` that must fire.  Combinations
+no intent can express (a pin or a drift re-arm with the flag on) are not
+cells.  A directed section covers the quarantine interaction (the
+runtime filters barred variants *before* ``decide`` sees the pool).
 """
 
 import itertools
@@ -14,12 +17,14 @@ import pytest
 
 from repro.compiler.variants import VariantPool
 from repro.core import policy
+from repro.core.policy import Basis, IntentKind, LaunchIntent
 from repro.core.runtime import DySelRuntime
 from repro.core.selection import (
     SelectionCache,
     SelectionRecord,
     VariantMeasurement,
 )
+from repro.errors import LaunchError
 from repro.modes import OrchestrationFlow, ProfilingMode
 from repro.predict import Prediction
 from tests.conftest import axpy_signature, make_axpy_args, make_axpy_variant
@@ -35,17 +40,37 @@ PINNED = (None, "slow", "gone")
 DRIFT = (False, True)
 POOL = ("multi", "single")
 
-MATRIX = tuple(itertools.product(FLAG, CACHE, SIZE, PINNED, DRIFT, POOL))
 
-#: Every reason category ``decide`` can produce.
+def intent_for(flag, pinned, drift):
+    """The intent a flag combination maps to, or ``None`` if none can."""
+    if flag:
+        if pinned is None and not drift:
+            return LaunchIntent.profile()
+        return None
+    if drift:
+        return LaunchIntent.reprofile(pinned)
+    return LaunchIntent.replay(pinned)
+
+
+MATRIX = tuple(
+    cell
+    for cell in itertools.product(FLAG, CACHE, SIZE, PINNED, DRIFT, POOL)
+    if intent_for(cell[0], cell[3], cell[4]) is not None
+)
+
+#: The cells whose intent is a plain ``profile`` (the only intent that
+#: may carry a prediction, and the one backpressure turns into ``defer``).
+PROFILE_CELLS = tuple(cell for cell in MATRIX if cell[0])
+
+#: Every basis ``decide`` can produce from the matrix.
 CATEGORIES = (
-    "drift re-activation",
-    "profiling activated",
-    "pinned reused",
-    "cached reused",
-    "default fallback",
-    "small workload",
-    "single variant",
+    Basis.DRIFT,
+    Basis.PROFILE,
+    Basis.PINNED,
+    Basis.CACHED,
+    Basis.DEFAULT,
+    Basis.SMALL_WORKLOAD,
+    Basis.SINGLE_VARIANT,
 )
 
 
@@ -86,25 +111,37 @@ def units_for(size, config):
     return config.small_workload_threshold * 4
 
 
-def categorize(reason):
-    """Map a concrete reason string onto its category."""
-    if reason == "drift re-activation":
-        return "drift re-activation"
-    if reason == "profiling activated":
-        return "profiling activated"
-    if reason == "profiling deactivated; pinned selection reused":
-        return "pinned reused"
-    if reason == "profiling deactivated; cached selection reused":
-        return "cached reused"
-    if reason.startswith("profiling deactivated;") and reason.endswith(
-        "using default"
-    ):
-        return "default fallback"
-    if reason.startswith("small workload ("):
-        return "small workload"
-    if reason == "single-variant pool; nothing to select":
-        return "single variant"
-    raise AssertionError(f"unrecognized reason {reason!r}")
+def decide_cell(cell, config, intent=None):
+    """``decide`` on one matrix cell (``intent`` overrides the mapping)."""
+    flag, cache_state, size, pinned, drift, pool_shape = cell
+    return policy.decide(
+        build_pool(pool_shape),
+        units_for(size, config),
+        intent if intent is not None else intent_for(flag, pinned, drift),
+        build_cache(cache_state),
+        config,
+    )
+
+
+def assert_reason_matches_basis(decision):
+    """The user-visible reason text of each basis stays byte-stable."""
+    reason = decision.reason
+    exact = {
+        Basis.DRIFT: "drift re-activation",
+        Basis.PROFILE: "profiling activated",
+        Basis.PINNED: "profiling deactivated; pinned selection reused",
+        Basis.CACHED: "profiling deactivated; cached selection reused",
+        Basis.SINGLE_VARIANT: "single-variant pool; nothing to select",
+    }
+    if decision.basis in exact:
+        assert reason == exact[decision.basis]
+    elif decision.basis is Basis.DEFAULT:
+        assert reason.startswith("profiling deactivated;")
+        assert reason.endswith("using default")
+    elif decision.basis is Basis.SMALL_WORKLOAD:
+        assert reason.startswith("small workload (")
+    else:
+        raise AssertionError(f"unexpected basis {decision.basis!r}")
 
 
 def oracle(flag, cache_state, size, pinned, drift, pool_shape):
@@ -114,74 +151,69 @@ def oracle(flag, cache_state, size, pinned, drift, pool_shape):
     cached_valid = cache_state == "cached"
     # "slow" only exists in the multi pool; "gone" never does.
     pinned_valid = pinned == "slow" and multi
-    if drift and not flag and multi and large:
-        return "drift re-activation"
-    if pinned is not None and not flag and pinned_valid:
-        return "pinned reused"
+    if drift and multi and large:
+        return Basis.DRIFT
     if not flag:
-        return "cached reused" if cached_valid else "default fallback"
+        if pinned_valid:
+            return Basis.PINNED
+        return Basis.CACHED if cached_valid else Basis.DEFAULT
     if not large:
-        return "small workload"
+        return Basis.SMALL_WORKLOAD
     if not multi:
-        return "single variant"
-    return "profiling activated"
+        return Basis.SINGLE_VARIANT
+    return Basis.PROFILE
 
 
 @pytest.mark.parametrize(
     "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
 )
 def test_matrix_cell(flag, cache_state, size, pinned, drift, pool_shape, config):
+    cell = (flag, cache_state, size, pinned, drift, pool_shape)
     pool = build_pool(pool_shape)
-    units = units_for(size, config)
-    decision = policy.decide(
-        pool,
-        units,
-        flag,
-        build_cache(cache_state),
-        config,
-        pinned_variant=pinned,
-        drift_rearm=drift,
-    )
-    expected = oracle(flag, cache_state, size, pinned, drift, pool_shape)
-    assert categorize(decision.reason) == expected
+    decision = decide_cell(cell, config)
+    expected = oracle(*cell)
+    assert decision.basis is expected
+    assert_reason_matches_basis(decision)
 
     # Structural invariants of every decision.
     if decision.profile:
         assert decision.variant_name is None
     else:
         assert decision.variant_name in pool.variant_names
-    assert decision.profile == (
-        expected in ("drift re-activation", "profiling activated")
-    )
+    assert decision.profile == (expected in (Basis.DRIFT, Basis.PROFILE))
 
     # Stability: the same inputs produce the same decision (fresh cache,
     # because a stale entry is evicted on first sight by design).
-    again = policy.decide(
-        pool,
-        units,
-        flag,
-        build_cache(cache_state),
-        config,
-        pinned_variant=pinned,
-        drift_rearm=drift,
-    )
-    assert again == decision
+    assert decide_cell(cell, config) == decision
 
 
 def test_matrix_reaches_every_reason_category(config):
-    reached = set()
-    for flag, cache_state, size, pinned, drift, pool_shape in MATRIX:
-        decision = policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-        )
-        reached.add(categorize(decision.reason))
+    reached = {decide_cell(cell, config).basis for cell in MATRIX}
     assert reached == set(CATEGORIES)
+
+
+class TestIntentSet:
+    """Only the four intents exist; mixed flags cannot be written."""
+
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [
+            (IntentKind.PROFILE, {"variant": "slow"}),
+            (IntentKind.DEFER, {"variant": "slow"}),
+            (IntentKind.REPLAY, {"prediction": Prediction("fast", 0.9)}),
+            (IntentKind.REPROFILE, {"prediction": Prediction("fast", 0.9)}),
+            (IntentKind.DEFER, {"prediction": Prediction("fast", 0.9)}),
+        ],
+    )
+    def test_inexpressible_combinations_raise(self, kind, kwargs):
+        with pytest.raises(LaunchError):
+            LaunchIntent(kind, **kwargs)
+
+    def test_profiling_requested_follows_the_paper_flag(self):
+        assert LaunchIntent.profile().profiling_requested
+        assert LaunchIntent.defer().profiling_requested
+        assert not LaunchIntent.replay("slow").profiling_requested
+        assert not LaunchIntent.reprofile("slow").profiling_requested
 
 
 class TestPrecedenceEdges:
@@ -191,13 +223,12 @@ class TestPrecedenceEdges:
         decision = policy.decide(
             fast_slow_pool,
             config.small_workload_threshold * 4,
-            False,
+            LaunchIntent.reprofile("slow"),
             build_cache("cached"),
             config,
-            pinned_variant="slow",
-            drift_rearm=True,
         )
         assert decision.profile
+        assert decision.basis is Basis.DRIFT
         assert decision.reason == "drift re-activation"
 
     def test_drift_rearm_never_overrides_small_workload(
@@ -206,40 +237,37 @@ class TestPrecedenceEdges:
         decision = policy.decide(
             fast_slow_pool,
             max(1, config.small_workload_threshold // 4),
-            False,
+            LaunchIntent.reprofile(),
             SelectionCache(),
             config,
-            drift_rearm=True,
         )
         assert not decision.profile
+
+    def test_moot_rearm_replays_its_fallback(self, fast_slow_pool, config):
+        """A moot re-profile serves its own fallback, not whatever the
+        kernel-wide cache last measured."""
+        decision = policy.decide(
+            fast_slow_pool,
+            max(1, config.small_workload_threshold // 4),
+            LaunchIntent.reprofile("slow"),
+            build_cache("cached"),  # caches 'fast'
+            config,
+        )
+        assert not decision.profile
+        assert decision.variant_name == "slow"
+        assert decision.basis is Basis.PINNED
 
     def test_drift_rearm_moot_on_single_variant(self, config):
         pool = build_pool("single")
         decision = policy.decide(
             pool,
             config.small_workload_threshold * 4,
-            False,
+            LaunchIntent.reprofile(),
             SelectionCache(),
             config,
-            drift_rearm=True,
         )
         assert not decision.profile
         assert decision.variant_name == "fast"
-
-    def test_explicit_profiling_ignores_drift_flag(
-        self, fast_slow_pool, config
-    ):
-        """profiling=True already re-profiles; drift adds nothing."""
-        decision = policy.decide(
-            fast_slow_pool,
-            config.small_workload_threshold * 4,
-            True,
-            SelectionCache(),
-            config,
-            drift_rearm=True,
-        )
-        assert decision.profile
-        assert decision.reason == "profiling activated"
 
     def test_stale_pinned_and_stale_cache_both_noted(
         self, fast_slow_pool, config
@@ -248,13 +276,13 @@ class TestPrecedenceEdges:
         decision = policy.decide(
             fast_slow_pool,
             config.small_workload_threshold * 4,
-            False,
+            LaunchIntent.replay("gone"),
             cache,
             config,
-            pinned_variant="gone",
         )
         assert not decision.profile
         assert decision.variant_name == "fast"  # pool default
+        assert decision.basis is Basis.DEFAULT
         assert "evicted-variant" in decision.reason
         assert "'gone'" in decision.reason
         assert cache.lookup("axpy") is None  # stale entry evicted
@@ -262,56 +290,45 @@ class TestPrecedenceEdges:
 
 class TestPredictionAxis:
     """The prediction input is the weakest in the precedence order: over
-    the whole matrix it may only convert a would-be micro-profile into a
-    profiling-off predicted run — every other gate's decision must be
+    every profile cell it may only convert a would-be micro-profile into
+    a profiling-off predicted run — every other gate's decision must be
     byte-identical with and without it."""
 
     PREDICTED = Prediction(variant="fast", confidence=0.91)
 
-    def decide(self, cell, config, predicted):
-        flag, cache_state, size, pinned, drift, pool_shape = cell
-        return policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-            predicted=predicted,
-        )
-
     @pytest.mark.parametrize(
-        "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
+        "flag,cache_state,size,pinned,drift,pool_shape", PROFILE_CELLS
     )
     def test_matrix_cell_with_prediction(
         self, flag, cache_state, size, pinned, drift, pool_shape, config
     ):
         cell = (flag, cache_state, size, pinned, drift, pool_shape)
-        baseline = self.decide(cell, config, None)
-        decision = self.decide(cell, config, self.PREDICTED)
-        if (
-            categorize(baseline.reason) == "profiling activated"
-            and not drift
-        ):
+        baseline = decide_cell(cell, config)
+        decision = decide_cell(
+            cell, config, LaunchIntent.profile(self.PREDICTED)
+        )
+        if baseline.basis is Basis.PROFILE:
             assert not decision.profile
             assert decision.variant_name == "fast"
+            assert decision.basis is Basis.PREDICTED
             assert decision.reason.startswith(
                 "predicted selection ('fast', confidence 0.91)"
             )
         else:
-            # Every other gate — small workload, single variant, pinned,
-            # cached, drift re-arm — is untouched by the prediction.
+            # Every other gate — small workload, single variant — is
+            # untouched by the prediction.
             assert decision == baseline
 
     def test_prediction_never_overrides_drift_rearm(self, config):
-        decision = self.decide(
-            (True, "empty", "large", None, True, "multi"),
-            config,
-            self.PREDICTED,
+        """A re-profile cannot carry a prediction: the drift episode
+        wants a real measurement."""
+        with pytest.raises(LaunchError):
+            LaunchIntent(IntentKind.REPROFILE, prediction=self.PREDICTED)
+        decision = decide_cell(
+            (False, "empty", "large", None, True, "multi"), config
         )
         assert decision.profile
-        assert decision.reason == "profiling activated"
+        assert decision.reason == "drift re-activation"
 
     def test_predicted_variant_missing_from_pool_falls_back(
         self, fast_slow_pool, config
@@ -319,10 +336,9 @@ class TestPredictionAxis:
         decision = policy.decide(
             fast_slow_pool,
             config.small_workload_threshold * 4,
-            True,
+            LaunchIntent.profile(Prediction(variant="gone", confidence=0.99)),
             SelectionCache(),
             config,
-            predicted=Prediction(variant="gone", confidence=0.99),
         )
         assert decision.profile
         assert "predicted 'gone' is not a profiling candidate" in (
@@ -336,16 +352,16 @@ class TestPredictionAxis:
         predicted_dominated = policy.decide(
             pool,
             config.small_workload_threshold * 4,
-            True,
+            LaunchIntent.profile(Prediction(variant="fast", confidence=0.99)),
             SelectionCache(),
             config,
             dominated=("fast",),
-            predicted=Prediction(variant="fast", confidence=0.99),
         )
         # Excluding 'fast' leaves a single survivor, which wins before
         # the prediction is even consulted.
         assert not predicted_dominated.profile
         assert predicted_dominated.variant_name == "slow"
+        assert predicted_dominated.basis is Basis.SINGLE_CANDIDATE
         assert "statically dominated" in predicted_dominated.reason
 
     def test_prediction_notes_ride_along_with_dominance(self, config):
@@ -362,11 +378,10 @@ class TestPredictionAxis:
         decision = policy.decide(
             pool,
             config.small_workload_threshold * 4,
-            True,
+            LaunchIntent.profile(Prediction(variant="mid", confidence=0.88)),
             SelectionCache(),
             config,
             dominated=("slow",),
-            predicted=Prediction(variant="mid", confidence=0.88),
         )
         assert not decision.profile
         assert decision.variant_name == "mid"
@@ -387,9 +402,12 @@ class TestPredictionAxis:
             "axpy",
             make_axpy_args(units, config),
             units,
-            predicted=Prediction(variant="slow", confidence=0.99),
+            profiling=LaunchIntent.profile(
+                Prediction(variant="slow", confidence=0.99)
+            ),
         )
         assert result.selected != "slow"
+        assert result.basis is not Basis.PREDICTED
         assert not result.reason.startswith("predicted selection")
 
 
@@ -615,60 +633,31 @@ class TestQuarantineInteraction:
 
 
 class TestBackpressureAxis:
-    """The serving layer's ``deferred`` flag (profiling backpressure,
-    :mod:`repro.serve.qos`) may only convert a would-be profile — a cold
-    micro-profile or a drift re-profile — into a profiling-off launch on
-    the best-known variant.  Every branch that was not going to profile
-    anyway must be byte-identical with and without it."""
-
-    DEFERRED_CATEGORIES = (
-        "micro-profile deferred",
-        "drift re-profile deferred",
-    )
-
-    @staticmethod
-    def categorize_deferred(reason):
-        """``categorize`` extended with the two backpressure reasons."""
-        if reason.startswith("micro-profile deferred by backpressure;"):
-            return "micro-profile deferred"
-        if reason.startswith("drift re-profile deferred by backpressure;"):
-            return "drift re-profile deferred"
-        return categorize(reason)
-
-    def decide(self, cell, config, deferred):
-        flag, cache_state, size, pinned, drift, pool_shape = cell
-        return policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-            deferred=deferred,
-        )
+    """The serving layer's ``defer`` intent (profiling backpressure,
+    :mod:`repro.serve.qos`) may only convert a would-be micro-profile
+    into a profiling-off launch on the best-known variant.  Every
+    profile cell that was not going to profile anyway must be
+    byte-identical with and without it."""
 
     @pytest.mark.parametrize(
-        "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
+        "flag,cache_state,size,pinned,drift,pool_shape", PROFILE_CELLS
     )
     def test_matrix_cell_with_backpressure(
         self, flag, cache_state, size, pinned, drift, pool_shape, config
     ):
         cell = (flag, cache_state, size, pinned, drift, pool_shape)
-        baseline = self.decide(cell, config, False)
-        decision = self.decide(cell, config, True)
-        base_category = categorize(baseline.reason)
-        if base_category == "profiling activated":
-            expected = "micro-profile deferred"
-        elif base_category == "drift re-activation":
-            expected = "drift re-profile deferred"
-        else:
-            # Small workload, single variant, pinned, cached, default:
-            # none of these profile, so backpressure changes nothing.
+        baseline = decide_cell(cell, config)
+        decision = decide_cell(cell, config, LaunchIntent.defer())
+        if baseline.basis is not Basis.PROFILE:
+            # Small workload, single variant: neither profiles, so
+            # backpressure changes nothing.
             assert decision == baseline
             return
         assert not decision.profile
-        assert self.categorize_deferred(decision.reason) == expected
+        assert decision.basis is Basis.DEFERRED
+        assert decision.reason.startswith(
+            "micro-profile deferred by backpressure;"
+        )
         # The fallback basis is oracle-checked, not just relabelled:
         # a valid cached selection serves; anything else (empty or
         # stale cache) drops to the pool default.
@@ -681,29 +670,12 @@ class TestBackpressureAxis:
         pool = build_pool(pool_shape)
         assert decision.variant_name in pool.variant_names
 
-    def test_matrix_reaches_both_deferred_categories(self, config):
-        reached = set()
-        for cell in MATRIX:
-            decision = self.decide(cell, config, True)
-            reached.add(self.categorize_deferred(decision.reason))
-        assert set(self.DEFERRED_CATEGORIES) <= reached
-
-    def test_prediction_beats_deferral(self, config):
-        """A confident prediction costs no profiling, so backpressure
-        has nothing to defer — the predicted serve goes through."""
-        predicted = Prediction(variant="fast", confidence=0.93)
-        decision = policy.decide(
-            build_pool("multi"),
-            units_for("large", config),
-            True,
-            SelectionCache(),
-            config,
-            predicted=predicted,
-            deferred=True,
-        )
-        assert not decision.profile
-        assert decision.reason.startswith("predicted selection ('fast'")
-        assert "deferred" not in decision.reason
+    def test_matrix_reaches_the_deferred_basis(self, config):
+        reached = {
+            decide_cell(cell, config, LaunchIntent.defer()).basis
+            for cell in PROFILE_CELLS
+        }
+        assert Basis.DEFERRED in reached
 
     def test_deferral_unused_when_dominance_leaves_one_survivor(
         self, config
@@ -711,44 +683,23 @@ class TestBackpressureAxis:
         decision = policy.decide(
             build_pool("multi"),
             units_for("large", config),
-            True,
+            LaunchIntent.defer(),
             SelectionCache(),
             config,
             dominated=("fast",),
-            deferred=True,
         )
         assert not decision.profile
         assert decision.variant_name == "slow"
         assert "statically dominated" in decision.reason
         assert "deferred" not in decision.reason
 
-    def test_deferred_drift_rearm_leaves_cached_serving(self, config):
-        """A deferred drift re-profile keeps serving the (possibly
-        drifted) cached selection — stale-but-correct beats unprofiled."""
-        decision = policy.decide(
-            build_pool("multi"),
-            units_for("large", config),
-            False,
-            build_cache("cached"),
-            config,
-            drift_rearm=True,
-            deferred=True,
-        )
-        assert not decision.profile
-        assert decision.reason == (
-            "drift re-profile deferred by backpressure; "
-            "using cached selection"
-        )
-        assert decision.variant_name == "fast"
-
     def test_deferred_cold_class_exact_reason(self, config):
         decision = policy.decide(
             build_pool("multi"),
             units_for("large", config),
-            True,
+            LaunchIntent.defer(),
             SelectionCache(),
             config,
-            deferred=True,
         )
         assert decision.reason == (
             "micro-profile deferred by backpressure; using pool default"

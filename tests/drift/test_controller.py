@@ -1,12 +1,12 @@
 """Monitor and controller behaviour: per-class detectors, consume-once
-claims, episode lifecycle, and persistence — plus the runtime wiring
-(re-arm -> re-profile -> new winner -> episode recorded)."""
+claims, episode lifecycle, and persistence.  The scheduler wiring
+(re-arm -> re-profile -> new winner -> episode recorded) is covered by
+``test_scheduler_drift``."""
 
 import json
 
 import pytest
 
-from repro.core.runtime import DySelRuntime
 from repro.drift import (
     DriftConfig,
     DriftMonitor,
@@ -15,7 +15,6 @@ from repro.drift import (
     ReselectionController,
 )
 from repro.errors import DriftError
-from tests.conftest import make_axpy_args
 
 #: Fast-confirming tuning for tests: 2-sample baseline, one exceedance
 #: confirms, short cooldown.
@@ -199,84 +198,3 @@ class TestControllerPersistence:
         controller = ReselectionController(QUICK)
         with pytest.raises(DriftError):
             controller.load_payload(payload)
-
-
-class TestRuntimeWiring:
-    """enable_drift: re-arm -> re-profile -> new winner -> episode."""
-
-    UNITS = 512
-
-    def make_runtime(self, cpu, config, pool):
-        runtime = DySelRuntime(cpu, config)
-        runtime.register_pool(pool)
-        return runtime
-
-    def test_confirmed_drift_reprofiles_next_launch(
-        self, cpu, config, fast_slow_pool
-    ):
-        runtime = self.make_runtime(cpu, config, fast_slow_pool)
-        controller = runtime.enable_drift(QUICK)
-        first = runtime.launch_kernel(
-            "axpy", make_axpy_args(self.UNITS, config), self.UNITS
-        )
-        assert first.profiled
-        # Replay launches feed the detector with real measurements; a
-        # synthetic regime shift confirms drift for this kernel.
-        for _ in range(2):
-            result = runtime.launch_kernel(
-                "axpy",
-                make_axpy_args(self.UNITS, config),
-                self.UNITS,
-                profiling=False,
-            )
-            assert not result.profiled
-        baseline = controller.monitor.detector("axpy").baseline
-        assert baseline is not None and baseline > 0.0
-        controller.observe("axpy", "axpy", first.selected, 4.0 * baseline)
-        assert controller.should_rearm("axpy")
-
-        rearmed = runtime.launch_kernel(
-            "axpy",
-            make_axpy_args(self.UNITS, config),
-            self.UNITS,
-            profiling=False,
-        )
-        assert rearmed.profiled
-        assert rearmed.reason.startswith("drift re-activation")
-        (episode,) = controller.episodes
-        assert episode.completed
-        assert episode.new_variant == rearmed.selected
-        assert not controller.should_rearm("axpy")
-
-    def test_moot_rearm_released_for_a_later_launch(
-        self, cpu, config, fast_slow_pool
-    ):
-        """A small launch cannot serve the re-profile; its claim returns."""
-        runtime = self.make_runtime(cpu, config, fast_slow_pool)
-        controller = runtime.enable_drift(QUICK)
-        confirm_drift(controller, "axpy")
-        small = max(1, config.small_workload_threshold // 2)
-        result = runtime.launch_kernel(
-            "axpy", make_axpy_args(small, config), small, profiling=False
-        )
-        assert not result.profiled
-        assert controller.should_rearm("axpy")
-        big = runtime.launch_kernel(
-            "axpy",
-            make_axpy_args(self.UNITS, config),
-            self.UNITS,
-            profiling=False,
-        )
-        assert big.profiled
-        assert big.reason.startswith("drift re-activation")
-
-    def test_drift_off_runtime_is_unchanged(self, cpu, config, fast_slow_pool):
-        runtime = self.make_runtime(cpu, config, fast_slow_pool)
-        assert runtime.drift is None
-        result = runtime.launch_kernel(
-            "axpy",
-            make_axpy_args(self.UNITS, config),
-            self.UNITS,
-            profiling=False,
-        )
-        assert not result.profiled

@@ -5,10 +5,16 @@ persistence of the drift state alongside selections."""
 import threading
 
 from repro.config import ReproConfig
+from repro.core.policy import Basis
 from repro.device import make_cpu
 from repro.drift import DriftConfig
 from repro.obs.events import EventKind
-from repro.serve import LaunchScheduler, SelectionStore, ServeRequest
+from repro.serve import (
+    LaunchScheduler,
+    QoSConfig,
+    SelectionStore,
+    ServeRequest,
+)
 from tests.conftest import make_axpy_args
 
 UNITS = 512
@@ -121,6 +127,69 @@ class TestDriftReselection:
         served = scheduler.launch(make_request(config))
         assert served.profiled
         assert drift.reselections == 1
+
+    def test_moot_rearm_serves_the_class_entry(self, fast_slow_pool, config):
+        """A drifted class too small to profile keeps serving its own
+        store entry as a store hit, publishes nothing, and leaves the
+        episode claimable — it never borrows another class's winner."""
+        pool = fast_slow_pool.with_initial_default("slow")
+        scheduler = make_scheduler(config, pool)
+        small_units = max(1, config.small_workload_threshold // 2)
+        small = [
+            scheduler.launch(make_request(config, small_units))
+            for _ in range(3)
+        ]
+        key = small[0].workload_class
+        assert all(o.result.selected == "slow" for o in small)
+        assert scheduler.store.peek(key).selected == "slow"
+
+        # A large class profiles and 'fast' wins: the device's selection
+        # cache now holds a winner measured on a different class.
+        big = scheduler.launch(make_request(config))
+        assert big.profiled and big.result.selected == "fast"
+
+        shift_regime(scheduler, key)
+        scheduler.launch(make_request(config, small_units))  # confirms
+        drift = scheduler.store.drift
+        assert drift.should_rearm(key)
+
+        for _ in range(2):
+            outcome = scheduler.launch(make_request(config, small_units))
+            assert not outcome.profiled
+            assert outcome.result.selected == "slow"
+            assert outcome.store_hit
+            assert outcome.result.reason == (
+                "profiling deactivated; pinned selection reused"
+            )
+            assert scheduler.store.peek(key).selected == "slow"
+            assert drift.should_rearm(key)
+        assert drift.reselections == 0
+
+    def test_backpressure_defers_the_reprofile(self, fast_slow_pool, config):
+        """Under backpressure a drifted class keeps serving its entry and
+        the episode stays open, unclaimed, for a launch after pressure
+        clears."""
+        store = SelectionStore(drift=QUICK)
+        scheduler = make_scheduler(config, fast_slow_pool, store=store)
+        key = warm_up(scheduler, config)
+        shift_regime(scheduler, key)
+        scheduler.launch(make_request(config))  # confirms
+        busy = make_scheduler(
+            config,
+            fast_slow_pool,
+            store=store,
+            qos=QoSConfig(defer_watermark=0.0, resume_watermark=0.0),
+        )
+        deferred = busy.launch(make_request(config))
+        assert not deferred.profiled and deferred.store_hit
+        assert deferred.result.basis is Basis.PINNED
+        assert busy.stats.profiles_deferred == 1
+        assert store.drift.should_rearm(key)
+
+        rearmed = scheduler.launch(make_request(config))
+        assert rearmed.profiled
+        assert rearmed.result.basis is Basis.DRIFT
+        assert store.drift.reselections == 1
 
 
 class TestOneReprofilePerEpisode:

@@ -1,5 +1,6 @@
 """Exporter tests: Chrome trace structure, timeline, summary, reconcile."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,7 +14,13 @@ from repro.obs import (
     text_timeline,
     write_chrome_trace,
 )
-from repro.obs.export import assign_lanes
+from repro.obs.events import SPAN_KINDS
+from repro.obs.export import (
+    SUMMARY_COUNTERS,
+    SUMMARY_UNCOUNTED,
+    TraceSummary,
+    assign_lanes,
+)
 
 
 def sample_trace() -> RecordingTracer:
@@ -135,6 +142,42 @@ class TestSummarize:
         assert summary.profiling_overhead_fraction == pytest.approx(0.7)
         assert summary.eager_utilization == pytest.approx(0.25)
         assert "launches: 1" in summary.format()
+
+    def test_every_kind_is_counted_or_deliberately_uncounted(self):
+        """Each kind moves some counter, unless it is listed uncounted."""
+        args = {
+            "workload_units": 1,
+            "elapsed_cycles": 1.0,
+            "profiled": True,
+            "units": 1,
+            "demoted": True,
+        }
+        empty = dataclasses.asdict(TraceSummary())
+        for kind in EventKind:
+            t = RecordingTracer()
+            if kind in SPAN_KINDS:
+                t.span(kind, "k", 0.0, 1.0, **args)
+            else:
+                t.instant(kind, "k", 0.0, **args)
+            summary = dataclasses.asdict(summarize(t.events))
+            assert summary.pop("events_by_kind") == {kind.value: 1}
+            counted = summary != {
+                k: v for k, v in empty.items() if k != "events_by_kind"
+            }
+            assert counted == (kind not in SUMMARY_UNCOUNTED), kind
+        fields = TraceSummary.__dataclass_fields__
+        assert all(name in fields for name in SUMMARY_COUNTERS.values())
+        assert not SUMMARY_UNCOUNTED & set(SUMMARY_COUNTERS)
+
+    def test_table_counters_bump_once_per_event(self):
+        t = RecordingTracer()
+        for kind in SUMMARY_COUNTERS:
+            t.instant(kind, "k", 0.0)
+            t.instant(kind, "k", 1.0)
+        summary = summarize(t.events)
+        for kind, name in SUMMARY_COUNTERS.items():
+            assert getattr(summary, name) == 2, kind
+            assert summary.events_by_kind[kind.value] == 2
 
 
 class TestReconcile:

@@ -72,43 +72,8 @@ class TestSteal:
 
 
 class TestDefer:
-    """Backpressure deferral is *not* a lease — it must never block a
-    later profile attempt the way an orphaned lease entry would."""
-
-    def test_defer_creates_no_lease_entry(self):
-        table = ProfileLeaseTable()
-        assert table.defer("key") == ProfileLeaseTable.DEFERRED
-        assert not table.held("key")
-        assert len(table) == 0
-
-    def test_acquire_still_granted_after_defer(self):
-        # The regression this guards: a deferral that left a lease
-        # entry behind would deny the post-pressure profile (or force a
-        # steal-timeout wait), wedging the class cold forever.
-        table = ProfileLeaseTable()
-        table.defer("key")
-        assert table.acquire("key", 1) == ProfileLeaseTable.GRANTED
-
-    def test_defer_counters_distinct_from_grants(self):
-        table = ProfileLeaseTable()
-        table.defer("a")
-        table.defer("a")
-        table.defer("b")
-        assert table.deferrals == 3
-        assert table.deferred_count("a") == 2
-        assert table.deferred_count("b") == 1
-        assert table.deferred_count("cold") == 0
-        assert table.deferred_count() == 3
-        table.acquire("a", 1)
-        assert table.grants == 1
-        assert table.deferrals == 3  # grants don't bleed into deferrals
-
-    def test_defer_does_not_disturb_held_lease(self):
-        table = ProfileLeaseTable()
-        table.acquire("key", 1)
-        assert table.defer("key") == ProfileLeaseTable.DEFERRED
-        assert table.held("key")
-        assert table.release("key", 1)
+    """Backpressure deferral is *not* a lease: the scheduler reports it
+    through this marker and never touches the table."""
 
     def test_deferred_marker_distinct_from_lease_states(self):
         assert ProfileLeaseTable.DEFERRED not in (

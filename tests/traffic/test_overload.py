@@ -95,7 +95,6 @@ class TestBackpressureDefersEveryLease:
         # No lease entries, no published selections: the classes stay
         # cold so profiling can resume once pressure clears.
         assert len(scheduler.leases) == 0
-        assert scheduler.leases.deferred_count() == len(CLASS_UNITS)
         assert len(scheduler.store) == 0
         assert scheduler.stats.profiles_deferred == len(CLASS_UNITS)
 
