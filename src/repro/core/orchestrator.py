@@ -16,13 +16,15 @@ between:
   micro-profile time, so few or zero eager chunks dispatch and async
   degenerates to sync — the §5.1 observation, reproduced mechanically.
 
-Both flows are *hardened* against variant faults (:mod:`repro.faults`):
-when the engine carries a fault injector, every submission runs behind
-transient retries with capped backoff, waits carry hang deadlines, and a
-candidate that crashes / corrupts / hangs is dropped from selection with
-its productive slice queued for repair by a surviving variant.  When no
-injector is installed the pre-hardening code paths run bit-for-bit
-unchanged — clean launches pay nothing for the machinery.
+Both flows are *hardened* against variant faults (:mod:`repro.faults`),
+and there is one code path per flow: every submission runs behind
+transient retries with capped backoff, every wait carries a hang
+deadline, and a candidate that crashes / corrupts / hangs is dropped
+from selection with its productive slice queued for repair by a
+surviving variant.  Only a fault injector can hang a task, so without
+one the hang deadline is unbounded (:func:`_hang_deadline`) and every
+wait is a plain drain — a clean launch never faults, so the retry,
+repair and fallback steps are no-ops on it.
 """
 
 from __future__ import annotations
@@ -174,20 +176,32 @@ def _retry_transients(
             attempts += 1
 
 
+def _hang_deadline(engine: ExecutionEngine, config: ReproConfig) -> float:
+    """Host time at which a wait started now gives a task up as hung.
+
+    Only a fault injector can hang a task, so without one the deadline
+    is unbounded: a long clean profile must never read as a hang, and
+    an unbounded wait keeps the engine's exact drain available.
+    """
+    if engine.injector is None:
+        return float("inf")
+    return engine.now + config.faults.hang_deadline_cycles
+
+
 def _submit_profiling(
     engine: ExecutionEngine,
     plan: ProfilingPlan,
-    config: Optional[ReproConfig] = None,
-    faults: Optional[List[FaultRecord]] = None,
-    repairs: Optional[List[WorkRange]] = None,
-    kernel: str = "",
+    config: ReproConfig,
+    faults: List[FaultRecord],
+    repairs: List[WorkRange],
+    kernel: str,
 ) -> Dict[str, TaskHandle]:
     """Launch every candidate's micro-profile on its own stream.
 
-    With fault bookkeeping supplied (hardened callers), a candidate whose
-    submission faults permanently is skipped: its fault is recorded, and
-    a productive slice it owned is queued for repair.  Returned handles
-    may include hung tasks — callers must use deadline waits.
+    A candidate whose submission faults permanently is skipped: its
+    fault is recorded, and a productive slice it owned is queued for
+    repair.  Returned handles may include hung tasks — callers must use
+    deadline waits.
     """
     handles: Dict[str, TaskHandle] = {}
     for task in plan.tasks:
@@ -202,16 +216,13 @@ def _submit_profiling(
                 measure=True,
             )
 
-        if faults is None or config is None:
-            handles[task.variant.name] = submit()
-            continue
         try:
             handles[task.variant.name] = _retry_transients(
                 engine, config, task.variant.name, "profile", submit
             )
         except VariantFault as exc:
             _note_fault_exc(engine, faults, kernel, exc, "profile")
-            if task.productive and repairs is not None:
+            if task.productive:
                 repairs.append(task.units)
     return handles
 
@@ -225,7 +236,6 @@ def _run_batch_with_fallback(
     config: ReproConfig,
     faults: List[FaultRecord],
     stage: str,
-    priority: Priority = Priority.BATCH,
     stream: Optional[str] = None,
 ) -> Optional[str]:
     """Run a unit range to completion on the first candidate that can.
@@ -246,7 +256,7 @@ def _run_batch_with_fallback(
 
         def submit(variant=variant) -> TaskHandle:
             return engine.submit(
-                variant, args, units, priority=priority, stream=stream
+                variant, args, units, priority=Priority.BATCH, stream=stream
             )
 
         try:
@@ -254,8 +264,7 @@ def _run_batch_with_fallback(
         except VariantFault as exc:
             _note_fault_exc(engine, faults, pool.name, exc, stage)
             continue
-        deadline = engine.now + config.faults.hang_deadline_cycles
-        if engine.wait_deadline(task, deadline):
+        if engine.wait_deadline(task, _hang_deadline(engine, config)):
             if tracer.enabled:
                 tracer.task_span(EventKind.REMAINDER_BATCH, name, task)
             return name
@@ -274,6 +283,17 @@ def _run_batch_with_fallback(
         f"range {units} (tried {candidates})",
         faults=tuple(faults),
     )
+
+
+def _fallback_order(
+    pool: VariantPool, selected: str, barred: Set[str]
+) -> List[str]:
+    """Batch fallback chain: ``selected``, then the unbarred rest."""
+    return [selected] + [
+        name
+        for name in pool.variant_names
+        if name != selected and name not in barred
+    ]
 
 
 def _measurement(
@@ -302,15 +322,13 @@ def run_sync(
 ) -> OrchestrationResult:
     """Synchronous flow: profile, barrier, select, batch the remainder.
 
-    With a fault injector installed the flow hardens: faulted candidates
-    drop out of selection, their productive slices are repaired by a
-    survivor, and hung candidates are cancelled at the hang deadline.
-    Zero survivors raises :class:`ProfilingFaultError` (sandboxes
-    released first) so the runtime can degrade the launch.
+    Faulted candidates drop out of selection, their productive slices
+    are repaired by a survivor, and hung candidates are cancelled at the
+    hang deadline.  Zero survivors raises :class:`ProfilingFaultError`
+    (sandboxes released first) so the runtime can degrade the launch.
     """
     start = engine.now
     tracer = engine.tracer
-    hardened = engine.injector is not None
     record = SelectionRecord(
         kernel=pool.name,
         mode=plan.mode,
@@ -319,37 +337,33 @@ def run_sync(
     )
     faults: List[FaultRecord] = []
     repairs: List[WorkRange] = []
-    if not hardened:
-        handles = _submit_profiling(engine, plan)
-        engine.wait_all(list(handles.values()))
-    else:
-        handles = _submit_profiling(
-            engine, plan, config, faults, repairs, kernel=pool.name
+    handles = _submit_profiling(
+        engine, plan, config, faults, repairs, kernel=pool.name
+    )
+    deadline = _hang_deadline(engine, config)
+    for name in list(handles):
+        if engine.wait_deadline(handles[name], deadline):
+            continue
+        engine.cancel(handles.pop(name))
+        _note_fault(
+            engine,
+            faults,
+            pool.name,
+            name,
+            "hang",
+            "profile",
+            message="micro-profile exceeded the hang deadline",
         )
-        deadline = engine.now + config.faults.hang_deadline_cycles
-        for name in list(handles):
-            if engine.wait_deadline(handles[name], deadline):
-                continue
-            engine.cancel(handles.pop(name))
-            _note_fault(
-                engine,
-                faults,
-                pool.name,
-                name,
-                "hang",
-                "profile",
-                message="micro-profile exceeded the hang deadline",
-            )
-            task = plan.task_for(name)
-            if task.productive:
-                repairs.append(task.units)
-        if not handles:
-            plan.allocator.release_all()
-            raise ProfilingFaultError(
-                f"kernel {pool.name!r}: every profiling candidate faulted "
-                "in the synchronous flow",
-                faults=tuple(faults),
-            )
+        task = plan.task_for(name)
+        if task.productive:
+            repairs.append(task.units)
+    if not handles:
+        plan.allocator.release_all()
+        raise ProfilingFaultError(
+            f"kernel {pool.name!r}: every profiling candidate faulted "
+            "in the synchronous flow",
+            faults=tuple(faults),
+        )
     for name, handle in handles.items():
         engine.host_compute(SELECTION_COMPARE_CYCLES)
         measurement = _measurement(plan, name, handle)
@@ -373,30 +387,9 @@ def run_sync(
     plan.finalize(record.selected, launch)
     profiling_done = engine.now
 
-    winner = pool.variant(record.selected)
-    if not hardened:
-        if not plan.remainder.empty:
-            remainder_task = engine.submit(
-                winner, launch.args, plan.remainder, priority=Priority.BATCH
-            )
-            engine.wait(remainder_task)
-            if tracer.enabled:
-                tracer.task_span(
-                    EventKind.REMAINDER_BATCH, winner.name, remainder_task
-                )
-        return OrchestrationResult(
-            record=record,
-            start_cycles=start,
-            profiling_done_cycles=profiling_done,
-            end_cycles=engine.now,
-        )
-
-    faulty = {fault.variant for fault in faults}
-    candidates = [record.selected] + [
-        name
-        for name in pool.variant_names
-        if name != record.selected and name not in faulty
-    ]
+    candidates = _fallback_order(
+        pool, record.selected, {fault.variant for fault in faults}
+    )
     repaired_units = 0
     for units in repairs:
         _run_batch_with_fallback(
@@ -404,11 +397,10 @@ def run_sync(
             stage="repair",
         )
         repaired_units += len(units)
-    if not plan.remainder.empty:
-        _run_batch_with_fallback(
-            engine, pool, candidates, launch.args, plan.remainder, config,
-            faults, stage="remainder",
-        )
+    _run_batch_with_fallback(
+        engine, pool, candidates, launch.args, plan.remainder, config,
+        faults, stage="remainder",
+    )
     return OrchestrationResult(
         record=record,
         start_cycles=start,
@@ -442,7 +434,6 @@ def run_async(
         )
     start = engine.now
     tracer = engine.tracer
-    hardened = engine.injector is not None
     record = SelectionRecord(
         kernel=pool.name,
         mode=plan.mode,
@@ -451,19 +442,16 @@ def run_async(
     )
     faults: List[FaultRecord] = []
     repairs: List[WorkRange] = []
-    if not hardened:
-        handles = _submit_profiling(engine, plan)
-    else:
-        handles = _submit_profiling(
-            engine, plan, config, faults, repairs, kernel=pool.name
+    handles = _submit_profiling(
+        engine, plan, config, faults, repairs, kernel=pool.name
+    )
+    if not handles:
+        plan.allocator.release_all()
+        raise ProfilingFaultError(
+            f"kernel {pool.name!r}: every profiling candidate faulted "
+            "at submission in the asynchronous flow",
+            faults=tuple(faults),
         )
-        if not handles:
-            plan.allocator.release_all()
-            raise ProfilingFaultError(
-                f"kernel {pool.name!r}: every profiling candidate faulted "
-                "at submission in the asynchronous flow",
-                faults=tuple(faults),
-            )
     #: Variants that faulted this launch; barred from eager dispatch.
     blocklist: Set[str] = {fault.variant for fault in faults}
 
@@ -481,11 +469,7 @@ def run_async(
         ),
     )
 
-    deadline = (
-        engine.now + config.faults.hang_deadline_cycles
-        if hardened
-        else float("inf")
-    )
+    deadline = _hang_deadline(engine, config)
     remaining = plan.remainder
     eager_chunks = 0
     eager_units = 0
@@ -574,19 +558,16 @@ def run_async(
                     priority=Priority.EAGER,
                 )
 
-            if not hardened:
-                task = submit_eager()
-            else:
-                try:
-                    task = _retry_transients(
-                        engine, config, eager_best, "eager", submit_eager
-                    )
-                except VariantFault as exc:
-                    # Chunk untouched (or overwritten later): leave it at
-                    # the head of ``remaining`` for another variant.
-                    _note_fault_exc(engine, faults, pool.name, exc, "eager")
-                    blocklist.add(eager_best)
-                    continue
+            try:
+                task = _retry_transients(
+                    engine, config, eager_best, "eager", submit_eager
+                )
+            except VariantFault as exc:
+                # Chunk untouched (or overwritten later): leave it at the
+                # head of ``remaining`` for another variant.
+                _note_fault_exc(engine, faults, pool.name, exc, "eager")
+                blocklist.add(eager_best)
+                continue
             remaining = rest
             outstanding.append(task)
             eager_tasks.append((eager_chunks, eager_best, task))
@@ -603,62 +584,40 @@ def run_async(
     plan.finalize(record.selected, launch)
     profiling_done = engine.now
 
-    remainder_task = None
-    if not hardened:
-        if not remaining.empty:
-            remainder_task = engine.submit(
-                pool.variant(record.selected),
-                launch.args,
-                remaining,
-                priority=Priority.BATCH,
-            )
-            engine.wait(remainder_task)
-    else:
-        candidates = [record.selected] + [
-            name
-            for name in pool.variant_names
-            if name != record.selected and name not in blocklist
-        ]
-        if not remaining.empty:
-            _run_batch_with_fallback(
-                engine, pool, candidates, launch.args, remaining, config,
-                faults, stage="remainder",
-            )
+    candidates = _fallback_order(pool, record.selected, blocklist)
+    _run_batch_with_fallback(
+        engine, pool, candidates, launch.args, remaining, config,
+        faults, stage="remainder",
+    )
     engine.barrier()
+    # A hung eager chunk survives the barrier (it was never scheduled):
+    # cancel it and repair its range, which the winner re-runs below.
+    for index, variant_name, task in list(eager_tasks):
+        if task.finished:
+            continue
+        engine.cancel(task)
+        _note_fault(
+            engine,
+            faults,
+            pool.name,
+            variant_name,
+            "hang",
+            "eager",
+            message=f"eager chunk {index} never completed",
+        )
+        blocklist.add(variant_name)
+        eager_tasks = [t for t in eager_tasks if t[2] is not task]
+        eager_chunks -= 1
+        eager_units -= len(task.units)
+        repairs.append(task.units)
+    candidates = _fallback_order(pool, record.selected, blocklist)
     repaired_units = 0
-    if hardened:
-        # A hung eager chunk survives the barrier (it was never
-        # scheduled): cancel it and repair its range, which the winner
-        # re-runs below.
-        for index, variant_name, task in list(eager_tasks):
-            if task.finished:
-                continue
-            engine.cancel(task)
-            _note_fault(
-                engine,
-                faults,
-                pool.name,
-                variant_name,
-                "hang",
-                "eager",
-                message=f"eager chunk {index} never completed",
-            )
-            blocklist.add(variant_name)
-            eager_tasks = [t for t in eager_tasks if t[2] is not task]
-            eager_chunks -= 1
-            eager_units -= len(task.units)
-            repairs.append(task.units)
-        candidates = [record.selected] + [
-            name
-            for name in pool.variant_names
-            if name != record.selected and name not in blocklist
-        ]
-        for units in repairs:
-            _run_batch_with_fallback(
-                engine, pool, candidates, launch.args, units, config,
-                faults, stage="repair",
-            )
-            repaired_units += len(units)
+    for units in repairs:
+        _run_batch_with_fallback(
+            engine, pool, candidates, launch.args, units, config,
+            faults, stage="repair",
+        )
+        repaired_units += len(units)
     if tracer.enabled:
         # Eager chunks finish out of order with profiling polls; after
         # the barrier every handle is final, so their spans are exact.
@@ -668,12 +627,6 @@ def run_async(
                 variant_name,
                 task,
                 chunk_index=index,
-            )
-        if remainder_task is not None:
-            tracer.task_span(
-                EventKind.REMAINDER_BATCH,
-                record.selected,
-                remainder_task,
             )
     return OrchestrationResult(
         record=record,

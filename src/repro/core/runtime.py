@@ -55,7 +55,7 @@ from ..compiler.variants import VariantPool
 from ..config import ReproConfig
 from ..device.base import Device
 from ..device.cost import invalidate_cost_memo, ir_hash
-from ..device.engine import ExecutionEngine, Priority
+from ..device.engine import ExecutionEngine
 from ..errors import (
     AnalysisError,
     LaunchAbortedError,
@@ -73,7 +73,12 @@ from ..modes import OrchestrationFlow, ProfilingMode
 from ..obs.events import EventKind
 from . import policy
 from .policy import Basis, IntentKind, LaunchIntent
-from .orchestrator import _run_batch_with_fallback, run_async, run_sync
+from .orchestrator import (
+    _fallback_order,
+    _run_batch_with_fallback,
+    run_async,
+    run_sync,
+)
 from .productive import ProfilingPlan, plan_profiling
 from .registry import DySelKernelRegistry
 from .selection import SelectionCache, SelectionRecord
@@ -167,11 +172,13 @@ class DySelRuntime:
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
         """Install a :class:`FaultPlan` on this runtime's engine.
 
-        Installing an injector arms the hardened launch paths: transient
+        Every launch runs the one fault-hardened path — transient
         retries, hang deadlines, productive-slice repair, quarantine and
-        the degradation ladder (``docs/faults.md``).  Without an injector
-        the runtime behaves exactly as before — fault handling costs
-        nothing when chaos testing is off.
+        the degradation ladder (``docs/faults.md``) — but only an
+        injector can make a variant fault or hang.  Installing one
+        bounds the hang deadline (``config.faults.hang_deadline_cycles``);
+        without one the deadline is unbounded and no step of the ladder
+        ever fires.
         """
         injector = FaultInjector(plan)
         self.engine.injector = injector
@@ -469,40 +476,9 @@ class DySelRuntime:
             effective_flow = OrchestrationFlow.SYNC
             reason += "; swap mode forced synchronous flow"
 
-        try:
-            safe = safe_point_plan(
-                profile_pool.variants,
-                compute_units=self.device.spec.compute_units,
-                workload_units=workload_units,
-                multiplier=self.config.safe_point_multiplier,
-            )
-        except AnalysisError as exc:
-            # The workload passed the small-workload policy yet cannot
-            # host one fair slice (huge LCM of work assignment factors):
-            # demote to profiling-off rather than failing the launch.
-            planned = None
-            note = f"safe point analysis infeasible ({exc})"
-            self._warn_demotion(
-                pool.name, f"{note}; demoted to profiling-off (pool default)"
-            )
-            if tracer.enabled:
-                tracer.instant(
-                    EventKind.PLAN_DEMOTION,
-                    pool.name,
-                    self.engine.now,
-                    from_mode=effective_mode.value,
-                    to="profiling-off",
-                    error=str(exc),
-                )
-        else:
-            planned = self._plan_with_demotion(
-                profile_pool,
-                effective_mode,
-                effective_flow,
-                launch,
-                safe,
-                report,
-            )
+        planned = self._plan_with_demotion(
+            profile_pool, effective_mode, effective_flow, launch, report
+        )
         if planned is None:
             # Nothing profilable fits this launch: run the pool default
             # without profiling instead of failing the launch.
@@ -586,7 +562,6 @@ class DySelRuntime:
         mode: ProfilingMode,
         flow: OrchestrationFlow,
         launch: LaunchConfig,
-        safe: SafePointPlan,
         report: Optional[VerificationReport],
     ) -> Optional[
         Tuple[ProfilingPlan, ProfilingMode, OrchestrationFlow, str]
@@ -596,8 +571,9 @@ class DySelRuntime:
         The workload passed the small-workload policy, yet the fair slice
         from safe point analysis can still exceed what the launch has
         (fully-productive needs K slices; a huge LCM of work assignment
-        factors can outgrow even one).  Raising here would fail a launch
-        that plain execution handles fine, so instead:
+        factors can outgrow even one, and then safe point analysis
+        itself is infeasible).  Raising here would fail a launch that
+        plain execution handles fine, so instead:
 
         * fully-productive retries as hybrid (one shared slice, K−1
           sandboxes) when the verifier deems hybrid legal for this pool —
@@ -609,13 +585,23 @@ class DySelRuntime:
         recorded in the trace and the launch reason — the gate's
         warn-level philosophy, applied to plan layout.
         """
+        safe: Optional[SafePointPlan] = None
         try:
+            safe = safe_point_plan(
+                pool.variants,
+                compute_units=self.device.spec.compute_units,
+                workload_units=launch.workload_units,
+                multiplier=self.config.safe_point_multiplier,
+            )
             return plan_profiling(pool, mode, launch, safe), mode, flow, ""
+        except AnalysisError as exc:
+            error: Exception = exc
+            note = f"safe point analysis infeasible ({exc})"
         except ProfilingError as exc:
-            first_error = exc
+            error = exc
+            note = f"profiling plan infeasible for {mode.value} ({exc})"
 
-        note = f"profiling plan infeasible for {mode.value} ({first_error})"
-        if mode is ProfilingMode.FULLY:
+        if safe is not None and mode is ProfilingMode.FULLY:
             hybrid_flow = flow
             legal = True
             if report is not None:
@@ -644,7 +630,7 @@ class DySelRuntime:
                             self.engine.now,
                             from_mode=mode.value,
                             to=f"hybrid_{hybrid_flow.value}",
-                            error=str(first_error),
+                            error=str(error),
                         )
                     return plan, ProfilingMode.HYBRID, hybrid_flow, demotion
 
@@ -658,7 +644,7 @@ class DySelRuntime:
                 self.engine.now,
                 from_mode=mode.value,
                 to="profiling-off",
-                error=str(first_error),
+                error=str(error),
             )
         return None
 
@@ -854,10 +840,10 @@ class DySelRuntime:
 
         ``work_range`` narrows the batch to a sub-range of units (the
         fleet scheduler's split parts); the default covers the whole
-        workload.  With a fault injector installed the batch runs through
-        the orchestrator's fallback chain: the decided variant first,
-        then every non-quarantined sibling, until one finishes the whole
-        range cleanly.  Exhausting the chain aborts the launch.
+        workload.  The batch runs through the orchestrator's fallback
+        chain: the decided variant first, then every non-quarantined
+        sibling, until one finishes the whole range cleanly.  Exhausting
+        the chain aborts the launch.
         """
         assert decision.variant_name is not None
         span = (
@@ -868,55 +854,38 @@ class DySelRuntime:
         start = self.engine.now
         selected = decision.variant_name
         reason = decision.reason
-        task = None
-        if self.engine.injector is None:
-            variant = pool.variant(selected)
-            if launch.workload_units > 0:
-                task = self.engine.submit(
-                    variant,
-                    launch.args,
-                    span,
-                    priority=Priority.BATCH,
-                    stream=stream_name,
-                )
-                self.engine.wait(task)
-        elif launch.workload_units > 0:
-            candidates = [selected] + [
-                name
-                for name in pool.variant_names
-                if name != selected
-                and not self.quarantine.is_quarantined(pool.name, name)
-            ]
-            faults: List[FaultRecord] = []
-            try:
-                completed = _run_batch_with_fallback(
-                    self.engine,
-                    pool,
-                    candidates,
-                    launch.args,
-                    span,
-                    self.config,
-                    faults,
-                    stage="batch",
-                    priority=Priority.BATCH,
-                    stream=stream_name,
-                )
-            except ProfilingFaultError as exc:
-                self._note_faults(pool.name, exc.faults)
-                raise LaunchAbortedError(
-                    f"kernel {pool.name!r}: every runnable variant "
-                    "faulted on the batch run",
-                    kernel=pool.name,
-                    quarantined=self.quarantine.quarantined(pool.name),
-                    faulted=tuple(sorted({f.variant for f in exc.faults})),
-                ) from exc
-            self._note_faults(pool.name, faults)
-            if completed is not None and completed != selected:
-                reason += (
-                    f"; default {selected!r} faulted, batch completed by "
-                    f"{completed!r}"
-                )
-                selected = completed
+        candidates = _fallback_order(
+            pool, selected, set(self.quarantine.quarantined(pool.name))
+        )
+        faults: List[FaultRecord] = []
+        try:
+            completed = _run_batch_with_fallback(
+                self.engine,
+                pool,
+                candidates,
+                launch.args,
+                span,
+                self.config,
+                faults,
+                stage="batch",
+                stream=stream_name,
+            )
+        except ProfilingFaultError as exc:
+            self._note_faults(pool.name, exc.faults)
+            raise LaunchAbortedError(
+                f"kernel {pool.name!r}: every runnable variant "
+                "faulted on the batch run",
+                kernel=pool.name,
+                quarantined=self.quarantine.quarantined(pool.name),
+                faulted=tuple(sorted({f.variant for f in exc.faults})),
+            ) from exc
+        self._note_faults(pool.name, faults)
+        if completed is not None and completed != selected:
+            reason += (
+                f"; default {selected!r} faulted, batch completed by "
+                f"{completed!r}"
+            )
+            selected = completed
         result = LaunchResult(
             kernel=pool.name,
             selected=selected,
@@ -929,10 +898,6 @@ class DySelRuntime:
             basis=decision.basis,
         )
         if self.tracer.enabled:
-            if task is not None:
-                self.tracer.task_span(
-                    EventKind.REMAINDER_BATCH, selected, task
-                )
             self.tracer.instant(
                 EventKind.LAUNCH_END,
                 pool.name,

@@ -348,7 +348,15 @@ class ExecutionEngine:
         host: the clock advances to the deadline, other work keeps
         flowing, and the caller decides what to do with the straggler
         (usually :meth:`cancel`).
+
+        An unbounded deadline is exactly :meth:`wait`: same clock, same
+        drain, same trace span, and :class:`~repro.errors.EngineError`
+        when the task cannot finish — the host clock never reaches
+        infinity.
         """
+        if deadline == float("inf"):
+            self.wait(task)
+            return True
         blocked_at = self._now
         deadline = max(deadline, self._now)
         while not task.finished:

@@ -657,6 +657,15 @@ class LaunchScheduler:
             return None
         return self.qos.spec(request.tenant)
 
+    def _tenant_name(
+        self, request: ServeRequest, spec: Optional[TenantSpec]
+    ) -> str:
+        """The tenant a request is accounted to: its tag, else the
+        default contract's name (``"default"`` when QoS is off)."""
+        if request.tenant is not None:
+            return request.tenant
+        return spec.name if spec is not None else "default"
+
     def _deadline_for(
         self, request: ServeRequest, spec: Optional[TenantSpec]
     ) -> Optional[float]:
@@ -670,10 +679,14 @@ class LaunchScheduler:
         return self.admission is not None and self.admission.deferring
 
     def _record_deferral(
-        self, request: ServeRequest, key: str, seq: int, what: str
+        self,
+        request: ServeRequest,
+        tenant: str,
+        key: str,
+        seq: int,
+        what: str,
     ) -> None:
-        """Account one backpressure-deferred profile lease."""
-        tenant = request.tenant if request.tenant is not None else "default"
+        """Account one backpressure-deferred profile lease to ``tenant``."""
         with self._stats_lock:
             self.stats.profiles_deferred += 1
             self.stats.tenant(tenant).profiles_deferred += 1
@@ -699,9 +712,7 @@ class LaunchScheduler:
         :class:`~repro.errors.AdmissionRejected` (bounded queue full).
         """
         spec = self._tenant_spec(request)
-        tenant = request.tenant if request.tenant is not None else (
-            spec.name if spec is not None else "default"
-        )
+        tenant = self._tenant_name(request, spec)
         deadline = self._deadline_for(request, spec)
         enq_cycles = self._fleet_cycles()
         admitted = False
@@ -746,7 +757,7 @@ class LaunchScheduler:
             if self._should_split(request):
                 outcome = self.launch_split(request)
             else:
-                outcome = self._serve_whole(request, enqueue=True)
+                outcome = self._serve_whole(request, tenant, enqueue=True)
         finally:
             if admitted:
                 self.admission.release(tenant)
@@ -966,6 +977,7 @@ class LaunchScheduler:
         :meth:`launch`-style single-device serve, still wrapped in a
         :class:`SplitOutcome`.
         """
+        tenant = self._tenant_name(request, self._tenant_spec(request))
         seq = next(self._seq)
         if self.tracer.enabled:
             self.tracer.instant(
@@ -999,7 +1011,7 @@ class LaunchScheduler:
             max(1, units // align),
         )
         if max_parts <= 1:
-            outcome = self._serve_whole(whole)
+            outcome = self._serve_whole(whole, tenant)
             return SplitOutcome(
                 request=request,
                 parts=(outcome,),
@@ -1066,6 +1078,7 @@ class LaunchScheduler:
                         part_seq,
                         part_sig,
                         estimate,
+                        tenant=tenant,
                         placement=(
                             f"split part {index + 1}/{len(assignments)}"
                         ),
@@ -1084,7 +1097,7 @@ class LaunchScheduler:
         )
 
     def _serve_whole(
-        self, request: ServeRequest, enqueue: bool = False
+        self, request: ServeRequest, tenant: str, enqueue: bool = False
     ) -> ServeOutcome:
         """Serve one whole request on one device.
 
@@ -1116,6 +1129,7 @@ class LaunchScheduler:
                 signature,
                 estimate,
                 placement=placement.reason,
+                tenant=tenant,
             )
         finally:
             worker.streams.release(stream)
@@ -1128,6 +1142,7 @@ class LaunchScheduler:
         seq,
         signature,
         estimate,
+        tenant: str,
         placement: str = "",
         work_range: Optional[WorkRange] = None,
     ) -> ServeOutcome:
@@ -1164,7 +1179,7 @@ class LaunchScheduler:
                         # claim consumed) and serve pinned; a launch
                         # after pressure clears re-profiles the class.
                         self._record_deferral(
-                            request, key, seq, what="drift re-profile"
+                            request, tenant, key, seq, what="drift re-profile"
                         )
                     # A confirmed drift wants this class re-profiled.
                     # Claim is consume-once and the profile lease rides
@@ -1191,7 +1206,7 @@ class LaunchScheduler:
                 lease = ProfileLeaseTable.DEFERRED
                 intent = LaunchIntent.defer()
                 self._record_deferral(
-                    request, key, seq, what="micro-profile"
+                    request, tenant, key, seq, what="micro-profile"
                 )
             else:
                 # ``holding`` releases in a finally, so a launch that

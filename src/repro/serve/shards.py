@@ -50,7 +50,7 @@ import zlib
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..drift import DriftConfig, ReselectionController
-from ..errors import DriftError, PredictError, StoreError, StoreSchemaError
+from ..errors import StoreError, StoreSchemaError
 from ..faults.quarantine import VariantQuarantine
 from ..predict import PredictConfig, SelectionPredictor
 from .store import (
@@ -62,6 +62,7 @@ from .store import (
     StoreEntry,
     StoreStats,
     _atomic_write_json,
+    load_side_state,
     parse_entry,
 )
 
@@ -416,52 +417,8 @@ class ShardedSelectionStore:
             # The on-disk layout no longer matches: force a full rewrite
             # at the next checkpoint so stale shard files cannot linger.
             store._dirty = [True] * store.shard_count
-        store._load_side_state(meta, meta_path)
+        load_side_state(store, meta, f"sharded store meta {meta_path!r}")
+        # A snapshot predictor may have been armed: share it again.
+        for shard in store._shards:
+            shard.predictor = store.predictor
         return store
-
-    def _load_side_state(self, meta: Dict[str, object], source: str) -> None:
-        """Arm quarantine/drift/predictor from a parsed meta document."""
-        ledger = meta.get("quarantine")
-        if ledger is not None:
-            if not isinstance(ledger, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: "
-                    f"'quarantine' is {type(ledger).__name__}, expected "
-                    "an object"
-                )
-            self.quarantine.load_payload(ledger)
-        drift_doc = meta.get("drift")
-        if drift_doc is not None:
-            if not isinstance(drift_doc, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: 'drift' "
-                    f"is {type(drift_doc).__name__}, expected an object"
-                )
-            assert self.drift is not None
-            try:
-                self.drift.load_payload(drift_doc)
-            except DriftError as exc:
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: {exc}"
-                ) from exc
-        predict_doc = meta.get("predict")
-        if predict_doc is not None:
-            if not isinstance(predict_doc, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: "
-                    f"'predict' is {type(predict_doc).__name__}, "
-                    "expected an object"
-                )
-            try:
-                if self.predictor is not None:
-                    self.predictor.load_payload(predict_doc)
-                else:
-                    self.predictor = SelectionPredictor.from_payload(
-                        predict_doc
-                    )
-            except PredictError as exc:
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: {exc}"
-                ) from exc
-            for shard in self._shards:
-                shard.predictor = self.predictor

@@ -208,6 +208,44 @@ def _atomic_write_json(path: str, doc: Dict[str, object]) -> None:
         raise
 
 
+def load_side_state(store, doc: Dict[str, object], where: str) -> None:
+    """Arm a store's quarantine ledger, drift loop and predictor.
+
+    ``doc`` is a parsed snapshot (a single-file store, or a sharded
+    store's meta document) and ``where`` names it in error messages.
+    The caller's drift/predict tuning wins: a snapshot section only
+    contributes history (baselines and episodes, examples and fitted
+    trees).  A snapshot predictor the caller did not ask for is armed
+    with the snapshot's own config rather than silently dropped.
+    Raises :class:`StoreError` for a malformed section.
+    """
+    sections = {
+        name: doc.get(name) for name in ("quarantine", "drift", "predict")
+    }
+    for name, payload in sections.items():
+        if payload is not None and not isinstance(payload, dict):
+            raise StoreError(
+                f"{where} is corrupt: {name!r} is "
+                f"{type(payload).__name__}, expected an object"
+            )
+    if sections["quarantine"] is not None:
+        store.quarantine.load_payload(sections["quarantine"])
+    try:
+        if sections["drift"] is not None:
+            assert store.drift is not None
+            store.drift.load_payload(sections["drift"])
+        predict_doc = sections["predict"]
+        if predict_doc is not None:
+            if store.predictor is not None:
+                store.predictor.load_payload(predict_doc)
+            else:
+                store.predictor = SelectionPredictor.from_payload(
+                    predict_doc
+                )
+    except (DriftError, PredictError) as exc:
+        raise StoreError(f"{where} is corrupt: {exc}") from exc
+
+
 class SelectionStore:
     """Thread-safe persistent map: workload-class key → selection."""
 
@@ -547,7 +585,13 @@ class SelectionStore:
                 f"({exc}); starting with a fresh store",
                 stacklevel=2,
             )
-            return cls(ttl=ttl, ewma_alpha=ewma_alpha, clock=clock, drift=drift)
+            return cls(
+                ttl=ttl,
+                ewma_alpha=ewma_alpha,
+                clock=clock,
+                drift=drift,
+                predict=predict,
+            )
         if not isinstance(doc, dict) or "schema_version" not in doc:
             raise StoreSchemaError(
                 f"selection store {path!r} has no schema_version; refusing "
@@ -583,52 +627,7 @@ class SelectionStore:
         for raw in entries:
             entry = parse_entry(raw, now, path)
             store._entries[entry.key] = entry
-        ledger = doc.get("quarantine")
-        if ledger is not None:
-            if not isinstance(ledger, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'quarantine' is "
-                    f"{type(ledger).__name__}, expected an object"
-                )
-            store.quarantine.load_payload(ledger)
-        drift_doc = doc.get("drift")
-        if drift_doc is not None:
-            if not isinstance(drift_doc, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'drift' is "
-                    f"{type(drift_doc).__name__}, expected an object"
-                )
-            assert store.drift is not None
-            try:
-                store.drift.load_payload(drift_doc)
-            except DriftError as exc:
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: {exc}"
-                ) from exc
-        predict_doc = doc.get("predict")
-        if predict_doc is not None:
-            if not isinstance(predict_doc, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'predict' is "
-                    f"{type(predict_doc).__name__}, expected an object"
-                )
-            try:
-                if store.predictor is not None:
-                    # The caller's tuning wins; the snapshot contributes
-                    # history (examples + fitted trees) only.
-                    store.predictor.load_payload(predict_doc)
-                else:
-                    # The snapshot carries a trained predictor but the
-                    # caller did not ask for one: arm it with the
-                    # snapshot's own config rather than silently
-                    # dropping the fitted models.
-                    store.predictor = SelectionPredictor.from_payload(
-                        predict_doc
-                    )
-            except PredictError as exc:
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: {exc}"
-                ) from exc
+        load_side_state(store, doc, f"selection store {path!r}")
         return store
 
     # ------------------------------------------------------------------

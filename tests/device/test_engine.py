@@ -6,6 +6,7 @@ import pytest
 from repro.device import engine as engine_mod
 from repro.device.engine import ExecutionEngine, Priority
 from repro.errors import EngineError
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.kernel import AccessPattern, WorkRange
 from tests.conftest import (
     AXPY_UNIT,
@@ -209,3 +210,36 @@ class TestBarrier:
         assert engine.now == before + 500.0
         with pytest.raises(EngineError):
             engine.host_compute(-1.0)
+
+
+class TestUnboundedDeadlineWait:
+    def hung_task(self, cpu, config):
+        engine = ExecutionEngine(cpu, config)
+        engine.injector = FaultInjector(
+            FaultPlan([FaultRule(kind=FaultKind.HANG, variant="hung")])
+        )
+        args = make_axpy_args(32, config)
+        task = engine.submit(make_axpy_variant("hung"), args, WorkRange(0, 32))
+        assert task.hung
+        return engine, task
+
+    def test_stuck_task_raises_like_wait(self, cpu, config):
+        engine, task = self.hung_task(cpu, config)
+        before = engine.now
+        with pytest.raises(EngineError, match="engine is stuck"):
+            engine.wait_deadline(task, float("inf"))
+        assert engine.now == before
+
+    def test_finishing_task_matches_wait(self, cpu, config):
+        variant = make_axpy_variant("v", trips=50)
+        clocks = []
+        for unbounded in (False, True):
+            engine = ExecutionEngine(cpu, config)
+            args = make_axpy_args(32, config)
+            task = engine.submit(variant, args, WorkRange(0, 32), measure=True)
+            if unbounded:
+                assert engine.wait_deadline(task, float("inf"))
+            else:
+                engine.wait(task)
+            clocks.append((engine.now, task.last_end))
+        assert clocks[0] == clocks[1]

@@ -237,6 +237,38 @@ class TestDegradationLadder:
 
 
 class TestNoInjectorIsInert:
+    def test_empty_plan_matches_no_injector(self):
+        # Every launch runs the hardened flows; an injector that never
+        # fires must leave selection, timing and outputs untouched.
+        probe, _ = make_runtime(None)
+        report = probe.verifier.verify(
+            three_pool(),
+            compute_units=probe.device.spec.compute_units,
+            device_kind=probe.device.kind,
+            settings=probe.config.analyze,
+        )
+        combos = report.legal_combos()
+        assert len(combos) >= 4
+        for mode, flow in combos:
+            runs = []
+            for rules in (None, []):
+                runtime, config = make_runtime(rules, trace=False)
+                result, args = launch(runtime, config, flow=flow, mode=mode)
+                assert result.profiled
+                assert (result.mode, result.flow) == (mode, flow)
+                measured = [
+                    (m.variant, m.measured_cycles)
+                    for m in result.record.measurements
+                ]
+                runs.append(
+                    (result.selected, result.elapsed_cycles, measured, args)
+                )
+            clean, armed = runs
+            # Selected variant, elapsed cycles, per-candidate measurements.
+            assert clean[:3] == armed[:3], (mode, flow)
+            assert np.array_equal(clean[3]["y"].data, armed[3]["y"].data)
+            assert_bit_identical(armed[3])
+
     def test_clear_faults_restores_clean_runs(self):
         runtime, config = make_runtime(
             [FaultRule(FaultKind.CRASH, count=None)]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.drift import DriftConfig
 from repro.errors import StoreError, StoreSchemaError
+from repro.predict import PredictConfig
 from repro.serve.store import SCHEMA_VERSION, SelectionStore
 
 
@@ -250,6 +252,18 @@ class TestPersistence:
             loaded = SelectionStore.load(path)
         assert len(loaded) == 0
         assert loaded.lookup("anything") is None
+
+    def test_empty_file_keeps_caller_subsystems(self, tmp_path):
+        # A fresh store over a lost snapshot still arms what the caller
+        # asked for: the drift loop and the selection predictor.
+        path = str(tmp_path / "store.json")
+        open(path, "w").close()
+        with pytest.warns(UserWarning, match="empty or truncated"):
+            loaded = SelectionStore.load(
+                path, drift=DriftConfig(), predict=PredictConfig()
+            )
+        assert loaded.drift is not None
+        assert loaded.predictor is not None
 
     def test_corrupt_entry_rejected(self, tmp_path):
         path = str(tmp_path / "store.json")

@@ -119,6 +119,31 @@ class TestBackpressureDefersEveryLease:
         assert summary.profile_deferrals == len(CLASS_UNITS)
         assert summary.admissions == len(CLASS_UNITS)
 
+    def test_untagged_deferral_books_to_default_tenant(self):
+        # An untagged request is served under the default contract's
+        # name; its deferral must land on that same tenant.
+        config = ReproConfig(trace=True)
+        qos = QoSConfig(
+            default_tenant=TenantSpec("anon"),
+            defer_watermark=0.0,
+            resume_watermark=0.0,
+        )
+        scheduler = make_scheduler(config, qos=qos)
+        outcome = scheduler.launch(request_for(config, CLASS_UNITS[0]))
+        assert outcome.deferred and outcome.tenant == "anon"
+        assert set(scheduler.stats.tenants) == {"anon"}
+        record = scheduler.stats.tenants["anon"]
+        assert (record.requests, record.profiles_deferred) == (1, 1)
+        tagged = {
+            e.kind: e.args["tenant"]
+            for e in scheduler.tracer.events
+            if e.kind in (EventKind.ADMISSION, EventKind.PROFILE_DEFERRED)
+        }
+        assert tagged == {
+            EventKind.ADMISSION: "anon",
+            EventKind.PROFILE_DEFERRED: "anon",
+        }
+
     def test_warm_class_still_serves_from_store(self, config):
         store = SelectionStore()
         warm = make_scheduler(config, store=store)
