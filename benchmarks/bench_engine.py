@@ -18,7 +18,9 @@ regressions (written to ``BENCH_engine.json``):
 The benchmark also re-asserts exact equality of the two paths'
 observables on the workloads it times (a cheap in-situ slice of the
 equivalence harness) and reconciles a traced runtime launch executed
-on the default (drain) path.
+on the default (drain) path: a two-variant asynchronous profiled
+launch, so the trace carries the host polls of the profiling rounds,
+fast-forwarded idle rounds included.
 
 Run with ``--quick`` for CI-sized inputs.
 """
@@ -60,6 +62,8 @@ from repro.kernel import (  # noqa: E402
     WorkRange,
 )
 from repro.kernel.buffers import Buffer  # noqa: E402
+from repro.modes import OrchestrationFlow  # noqa: E402
+from repro.obs.events import EventKind  # noqa: E402
 from repro.obs.export import reconcile, write_chrome_trace  # noqa: E402
 
 #: Acceptance floors (mirrored in EXPERIMENTS.md).  The uncontended
@@ -90,23 +94,23 @@ def scale_executor(args, unit_start: int, unit_end: int) -> None:
     args["y"].data[lo:hi] = 2.0 * args["x"].data[lo:hi]
 
 
-def make_variant(name: str = "scale") -> KernelVariant:
+def make_variant(name: str = "scale", trips: int = 8) -> KernelVariant:
     """One statically priced synthetic variant (memoizable costs)."""
     ir = KernelIR(
-        loops=(Loop("k", LoopBound(static_trips=8)),),
+        loops=(Loop("k", LoopBound(static_trips=trips)),),
         accesses=(
             MemoryAccess(
                 "x",
                 False,
                 AccessPattern.UNIT_STRIDE,
-                4.0 * ELEMS_PER_UNIT / 8,
+                4.0 * ELEMS_PER_UNIT / trips,
                 loop="k",
             ),
             MemoryAccess(
                 "y",
                 True,
                 AccessPattern.UNIT_STRIDE,
-                4.0 * ELEMS_PER_UNIT / 8,
+                4.0 * ELEMS_PER_UNIT / trips,
                 loop="k",
             ),
         ),
@@ -243,11 +247,13 @@ def measure_memo(groups: int, config: ReproConfig, launches: int) -> Dict:
     return stats
 
 
-def traced_reconcile(trace_path: str) -> Tuple[int, List[str]]:
-    """A traced runtime launch on the default path, reconciled."""
+def traced_reconcile(trace_path: str) -> Tuple[int, int, List[str]]:
+    """A traced two-variant asynchronous profiled launch, reconciled.
+
+    Returns (events, host polls, reconcile problems).
+    """
     config = ReproConfig(trace=True)
     runtime = DySelRuntime(make_cpu(config), config)
-    variant = make_variant()
     spec = KernelSpec(
         signature=KernelSignature(
             "scale", (ArgSpec("x"), ArgSpec("y", is_output=True))
@@ -255,17 +261,28 @@ def traced_reconcile(trace_path: str) -> Tuple[int, List[str]]:
     )
     from repro.compiler.variants import VariantPool
 
-    runtime.register_pool(VariantPool(spec=spec, variants=(variant,)))
+    runtime.register_pool(
+        VariantPool(
+            spec=spec,
+            variants=(make_variant(), make_variant("scale_fine", trips=64)),
+        )
+    )
     units = 512
     args = make_args(units, config)
-    result = runtime.launch_kernel("scale", args, units)
-    write_chrome_trace(runtime.tracer.events, trace_path)
+    result = runtime.launch_kernel(
+        "scale", args, units, flow=OrchestrationFlow.ASYNC
+    )
+    events = runtime.tracer.events
+    write_chrome_trace(events, trace_path)
     problems = reconcile(
-        runtime.tracer.events,
+        events,
         elapsed_cycles=result.elapsed_cycles,
         workload_units=units,
     )
-    return len(runtime.tracer.events), problems
+    polls = sum(1 for event in events if event.kind is EventKind.HOST_POLL)
+    if not polls:
+        problems.append("the traced launch issued no host polls")
+    return len(events), polls, problems
 
 
 def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
@@ -282,7 +299,7 @@ def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
     uncontended = measure_paths(run_uncontended, groups, quiet, repeats)
     contended = measure_paths(run_contended, groups, noisy, repeats)
     memo = measure_memo(groups, quiet, launches=40)
-    trace_events, trace_problems = traced_reconcile(trace_path)
+    trace_events, trace_polls, trace_problems = traced_reconcile(trace_path)
     clear_cost_memo()
 
     def speedup(timings):
@@ -311,7 +328,11 @@ def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
         },
         "seconds": {"uncontended": uncontended, "contended": contended},
         "memo": memo,
-        "trace": {"events": trace_events, "problems": trace_problems},
+        "trace": {
+            "events": trace_events,
+            "host_polls": trace_polls,
+            "problems": trace_problems,
+        },
         "acceptance": {
             "uncontended_speedup": uncontended_speedup,
             "uncontended_speedup_min": min_uncontended,
@@ -376,6 +397,7 @@ def main(argv=None) -> int:
     )
     print(
         f"  trace      : {args.trace} ({doc['trace']['events']} events, "
+        f"{doc['trace']['host_polls']} host polls, "
         f"{len(doc['trace']['problems'])} problem(s))"
     )
     print(f"  written    : {args.output}")

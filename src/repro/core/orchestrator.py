@@ -15,6 +15,10 @@ between:
   (the ¹–» steps of Fig 4b).  On the GPU the query latency exceeds the
   micro-profile time, so few or zero eager chunks dispatch and async
   degenerates to sync — the §5.1 observation, reproduced mechanically.
+  While no eager chunk can dispatch, a poll round that reads nothing
+  done repeats unchanged, so the flow hands the engine the whole idle
+  stretch: :meth:`ExecutionEngine.poll` fast-forwards it with the clock,
+  queries and trace of a poll-by-poll run.
 
 Both flows are *hardened* against variant faults (:mod:`repro.faults`),
 and there is one code path per flow: every submission runs behind
@@ -476,6 +480,15 @@ def run_async(
     eager_tasks: List[tuple] = []
     outstanding: List[TaskHandle] = []
     pending: List[str] = [name for name in handles]
+
+    def next_eager() -> Optional[str]:
+        """The variant the next eager chunk runs; None if none can go."""
+        if remaining.empty or len(outstanding) >= MAX_OUTSTANDING_EAGER_CHUNKS:
+            return None
+        if current_best not in blocklist:
+            return current_best
+        return next((n for n in pool.variant_names if n not in blocklist), None)
+
     while pending:
         if engine.now > deadline:
             # Whatever is still pending is hung (or starved behind a
@@ -498,11 +511,15 @@ def run_async(
                     repairs.append(task.units)
             pending = []
             break
-        finished_now: List[str] = []
-        for name in pending:
-            if engine.poll(handles[name]):
-                finished_now.append(name)
-        for name in finished_now:
+        # A round that can dispatch no eager chunk repeats unchanged
+        # until a poll reads done or a chunk completes, so the engine
+        # fast-forwards it (``ExecutionEngine.poll`` with a deadline).
+        ready = engine.poll(
+            [handles[name] for name in pending],
+            watch=outstanding,
+            deadline=deadline if next_eager() is None else None,
+        )
+        for name in [name for name, done in zip(pending, ready) if done]:
             pending.remove(name)
             engine.host_compute(SELECTION_COMPARE_CYCLES)
             measurement = _measurement(plan, name, handles[name])
@@ -528,23 +545,15 @@ def run_async(
         # flight so the workload can switch to a better variant as soon
         # as profiling finds one (paper §2.4's "careful workload
         # management").  Completion of eager chunks is piggybacked on the
-        # profiling polls already paid for above.
+        # profiling polls already paid for above; it is read after the
+        # selection compares, which advance the clock.
         outstanding = [
             task
             for task in outstanding
             if not (task.finished and task.last_end <= engine.now)
         ]
-        eager_best = current_best
-        if eager_best in blocklist:
-            eager_best = next(
-                (n for n in pool.variant_names if n not in blocklist), None
-            )
-        if (
-            pending
-            and eager_best is not None
-            and not remaining.empty
-            and len(outstanding) < MAX_OUTSTANDING_EAGER_CHUNKS
-        ):
+        eager_best = next_eager()
+        if pending and eager_best is not None:
             chunk, rest = remaining.take(chunk_units)
             eager_variant = pool.variant(eager_best)
 

@@ -29,9 +29,10 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -179,6 +180,10 @@ class ExecutionEngine:
         #: Task the current ``_advance_to`` must stop after (plumbed to
         #: the analytic drain, whose signature tests subclass).
         self._stop_task: Optional[TaskHandle] = None
+        #: Idle frontier: ``_advance_to`` to any earlier horizon cannot
+        #: dispatch.  The next possible start never decreases between a
+        #: ``submit`` and a ``cancel``, which both reset it.
+        self._idle_until = -math.inf
         #: Optional fault injector (:mod:`repro.faults`); when installed,
         #: it owns functional execution and may sabotage submissions.
         self.injector = None
@@ -227,6 +232,7 @@ class ExecutionEngine:
         but will never finish; use :meth:`wait_deadline`).
         """
         overhead = self.device.spec.kernel_launch_overhead
+        self._idle_until = -math.inf
         self._now += overhead * HOST_LAUNCH_FRACTION
         arrival = self._now + overhead * (1.0 - HOST_LAUNCH_FRACTION)
         self._launch_count += 1
@@ -287,26 +293,82 @@ class ExecutionEngine:
             )
         return task
 
-    def poll(self, task: TaskHandle) -> bool:
-        """Query a task's completion status (costs host query latency).
+    def poll(
+        self,
+        tasks: Union[TaskHandle, Sequence[TaskHandle]],
+        watch: Sequence[TaskHandle] = (),
+        deadline: Optional[float] = None,
+    ) -> Union[bool, List[bool]]:
+        """Query completion status; each query costs host query latency.
 
         Models ``cudaStreamQuery`` (§3.3): the query itself takes longer
         than a micro-profile often does, which is what limits eager
-        dispatch on GPUs (§5.1).
+        dispatch on GPUs (§5.1).  ``poll(task)`` queries one task and
+        returns whether it reads done.  ``poll(tasks, watch, deadline)``
+        is one round — each task queried once, in order — returning each
+        task's readiness.  With ``deadline``, idle rounds (nothing reads
+        done, no ``watch`` task finishes) repeat in here until one is not
+        idle or ends past ``deadline``; a skipped query costs one float
+        add, and clock and trace match a query-by-query run.  An idle
+        round that can never end raises :class:`EngineError`
+        (``docs/engine.md``, "Idle polls").
         """
-        self._now += self.device.spec.host_query_latency
-        self._advance_to(self._now)
-        done = task.finished and task.last_end <= self._now
-        if self.tracer.enabled:
-            self.tracer.instant(
-                EventKind.HOST_POLL,
-                task.variant.name,
-                self._now,
-                task_id=task.task_id,
-                finished=done,
-                latency_cycles=self.device.spec.host_query_latency,
+        single = isinstance(tasks, TaskHandle)
+        if single:
+            tasks = (tasks,)
+        latency = self.device.spec.host_query_latency
+        tracer = self.tracer
+        tracing = tracer.enabled
+        positions = range(len(tasks))
+        ready = [False] * len(tasks)
+        # Queries before ``skip_until`` can neither dispatch nor read
+        # done: they tick the clock and leave ``ready`` all False.
+        skip_until = -math.inf
+        now = self._now
+        while True:
+            for index in positions:
+                now += latency
+                if now >= skip_until:
+                    task = tasks[index]
+                    self._now = now
+                    self._advance_to(now)
+                    ready[index] = task.finished and task.last_end <= now
+                if tracing:
+                    task = tasks[index]
+                    tracer.instant(
+                        EventKind.HOST_POLL,
+                        task.variant.name,
+                        now,
+                        task_id=task.task_id,
+                        finished=ready[index],
+                        latency_cycles=latency,
+                    )
+            self._now = now
+            if deadline is None or now > deadline:
+                break
+            if now < skip_until:
+                continue
+            if True in ready or any(
+                task.finished and task.last_end <= now for task in watch
+            ):
+                break
+            # Idle round: the next change is a dispatch at the frontier
+            # or a finished task's clock reaching its ``last_end``.
+            skip_until = min(
+                [self._idle_until]
+                + [task.last_end for task in (*tasks, *watch) if task.finished]
             )
-        return done
+            # Repeats that cannot move the clock, or whose clock has
+            # nothing to reach, would spin forever.
+            if not latency or (
+                skip_until == math.inf and deadline == math.inf
+            ):
+                raise EngineError(
+                    f"poll of tasks {[task.task_id for task in tasks]} "
+                    "cannot finish: engine is stuck (an idle round with "
+                    "nothing to wait for)"
+                )
+        return ready[0] if single else ready
 
     def wait(self, task: TaskHandle) -> float:
         """Block the host until a task completes; returns completion time."""
@@ -399,6 +461,7 @@ class ExecutionEngine:
                 queue.extend(kept)
         task._durations = _NO_DURATIONS
         task.cancelled = True
+        self._idle_until = -math.inf
         if self.tracer.enabled:
             self.tracer.instant(
                 EventKind.TASK_CANCEL,
@@ -470,13 +533,22 @@ class ExecutionEngine:
 
         Returns True if any progress was made.  With ``stop_task`` given,
         returns as soon as that task finishes.
+
+        Every other return records the idle frontier: the start that lay
+        past ``horizon`` (infinity when nothing is queued or arriving).
+        Until a ``submit`` or ``cancel`` the next start cannot move
+        earlier, so a later call with an earlier horizon would compute
+        the same refusal — it returns False without looking.
         """
+        if horizon < self._idle_until:
+            return False
         progressed = False
         previous_stop = self._stop_task
         self._stop_task = stop_task
         try:
             while True:
                 if stop_task is not None and stop_task.finished:
+                    self._idle_until = -math.inf
                     return progressed
                 ready = self._ready
                 if not (
@@ -485,9 +557,11 @@ class ExecutionEngine:
                     or ready[Priority.BATCH]
                 ):
                     if not self._arrivals:
+                        self._idle_until = math.inf
                         return progressed
                     next_arrival = self._arrivals[0][0]
                     if next_arrival > horizon:
+                        self._idle_until = next_arrival
                         return progressed
                     self._deliver_arrivals(next_arrival)
                     continue
@@ -505,6 +579,7 @@ class ExecutionEngine:
                 start = max(free_time, task.arrival_time)
                 if start > horizon:
                     # Nothing can start inside the horizon yet.
+                    self._idle_until = start
                     return progressed
                 duration = float(batch.durations[batch.index])
                 batch.index += 1
