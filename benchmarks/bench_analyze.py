@@ -11,8 +11,10 @@ candidate set before a single cycle is spent.
 Two noise-free runs over the same launch measure what pruning buys
 (written to ``BENCH_analyze.json``):
 
-1. **baseline**  — ``analyze.dominance`` off: all 16 candidates profile.
-2. **dominance** — pruning on: only non-dominated survivors profile.
+1. **baseline**  — ``AnalyzeSettings(dominance_margin=inf)``: pruning
+   finds nothing, so all 16 candidates profile.
+2. **dominance** — the default settings: only non-dominated survivors
+   profile.
 
 Plus a traced serve phase (scheduler + store) with pruning on, whose
 per-device launch traces must pass :func:`repro.obs.export.reconcile`.
@@ -188,10 +190,14 @@ def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
     units = 256 if quick else 1024
     serve_requests = 6 if quick else 12
 
-    base_config = ReproConfig().without_noise()
-    dom_settings = AnalyzeSettings(dominance=True)
+    dom_settings = AnalyzeSettings()
     dom_config = dataclasses.replace(
-        base_config, analyze=dom_settings, trace=True
+        ReproConfig().without_noise(), analyze=dom_settings, trace=True
+    )
+    base_config = dataclasses.replace(
+        dom_config,
+        analyze=AnalyzeSettings(dominance_margin=float("inf")),
+        trace=False,
     )
 
     verdict = pool_cost_bounds(

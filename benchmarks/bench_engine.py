@@ -40,7 +40,7 @@ sys.path.insert(
 
 import numpy as np  # noqa: E402
 
-from repro.config import ReproConfig  # noqa: E402
+from repro.config import AnalyzeSettings, ReproConfig  # noqa: E402
 from repro.core.runtime import DySelRuntime  # noqa: E402
 from repro.device import (  # noqa: E402
     clear_cost_memo,
@@ -250,9 +250,13 @@ def measure_memo(groups: int, config: ReproConfig, launches: int) -> Dict:
 def traced_reconcile(trace_path: str) -> Tuple[int, int, List[str]]:
     """A traced two-variant asynchronous profiled launch, reconciled.
 
-    Returns (events, host polls, reconcile problems).
+    Returns (events, host polls, reconcile problems).  ``scale_fine`` is
+    statically dominated, so the launch asks for the full pool
+    (``dominance_margin=inf``) to keep two profiling candidates polling.
     """
-    config = ReproConfig(trace=True)
+    config = ReproConfig(
+        trace=True, analyze=AnalyzeSettings(dominance_margin=float("inf"))
+    )
     runtime = DySelRuntime(make_cpu(config), config)
     spec = KernelSpec(
         signature=KernelSignature(

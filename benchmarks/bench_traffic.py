@@ -20,7 +20,10 @@ against ``max_inflight=1``):
 
 The profiling regime is deliberately heavy (``safe_point_multiplier``
 of 16, paper §3.4: profile slices scaled to fully utilize the device),
-which is exactly when deferral matters.  The mix omits the two catalog
+which is exactly when deferral matters.  For the same reason every arm
+profiles the full pool (``AnalyzeSettings(dominance_margin=inf)``):
+dominance pruning would make the mid-storm profiles cheaper than the
+regime this storm was sized for.  The mix omits the two catalog
 workloads that cannot show the effect: particle-filter (a fixed ~23M
 cycle launch that dwarfs every other service time in both arms) and
 sgemm (its replay case sits under the small-workload threshold, so it
@@ -52,7 +55,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.config import ReproConfig  # noqa: E402
+from repro.config import AnalyzeSettings, ReproConfig  # noqa: E402
 from repro.device import make_cpu  # noqa: E402
 from repro.obs.export import reconcile, write_chrome_trace  # noqa: E402
 from repro.serve import (  # noqa: E402
@@ -236,7 +239,10 @@ def tenant_report(latencies, misses, deferred) -> Dict[str, float]:
 
 def run_benchmark(quick: bool, trace_path: str) -> Dict[str, object]:
     """Run every storm through both arms; return the BENCH document."""
-    config = ReproConfig(safe_point_multiplier=SAFE_POINT_MULTIPLIER)
+    config = ReproConfig(
+        safe_point_multiplier=SAFE_POINT_MULTIPLIER,
+        analyze=AnalyzeSettings(dominance_margin=float("inf")),
+    )
     tenants = tenant_mix()
     storms = QUICK_STORMS if quick else FULL_STORMS
 

@@ -47,7 +47,6 @@ from .dominance import (
     CostBoundPass,
     DominancePass,
     DominanceVerdict,
-    cold_start_estimate,
     pool_cost_bounds,
     prune_pool,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "VerifyOverrides",
     "WideningPolicy",
     "apply_adjustments",
-    "cold_start_estimate",
     "combos",
     "explain",
     "find_rule",

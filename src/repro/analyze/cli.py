@@ -15,8 +15,8 @@ the matrix but do not fail the run — they are exactly what the verifier
 exists to surface, and the runtime gate demotes or refuses them.
 
 Beyond verification the CLI renders the rule catalog
-(``--explain DYSEL-<PASS>-<NNN>``), static cost intervals with dominance
-pruning (``--dominance``), and a machine-readable report
+(``--explain DYSEL-<PASS>-<NNN>``), each pool's static cost intervals
+with its dominance-pruned candidate set, and a machine-readable report
 (``--format json``).  Configured severity adjustments from
 ``[tool.repro.analyze]`` in ``pyproject.toml`` apply unless ``--strict``
 ignores them.
@@ -100,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "race-free across work-groups (downgrades DYSEL-MODE-001)",
     )
     parser.add_argument(
-        "--dominance",
-        action="store_true",
-        help="run the static cost-bound analysis: render per-variant "
-        "cycle intervals and the dominance-pruned candidate set",
-    )
-    parser.add_argument(
         "--explain",
         metavar="RULE_ID",
         help="print the registry entry for one rule id "
@@ -139,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_settings(args: argparse.Namespace) -> AnalyzeSettings:
-    """Settings from pyproject + CLI flags."""
+    """Settings from pyproject + the ``--strict`` flag."""
     try:
         settings = load_pyproject_settings()
     except ConfigurationError as exc:
@@ -148,8 +142,6 @@ def _resolve_settings(args: argparse.Namespace) -> AnalyzeSettings:
         raise SystemExit(2)
     if args.strict and settings.rules:
         settings = dataclasses.replace(settings, rules=())
-    if args.dominance and not settings.dominance:
-        settings = dataclasses.replace(settings, dominance=True)
     return settings
 
 
@@ -255,17 +247,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.format == "text":
             print(f"== {label} ==")
             print(report.format(verbose=args.verbose))
-        if settings.dominance:
-            verdict = pool_cost_bounds(
-                entry.case.pool,
-                entry.device_kind,
-                policy=policy_from_settings(settings),
-                margin=settings.dominance_margin,
-                workload_units=entry.case.workload_units,
-            )
-            doc["dominance"] = verdict.as_dict()
-            if args.format == "text":
-                print(verdict.format_table())
+        verdict = pool_cost_bounds(
+            entry.case.pool,
+            entry.device_kind,
+            policy=policy_from_settings(settings),
+            margin=settings.dominance_margin,
+            workload_units=entry.case.workload_units,
+        )
+        doc["dominance"] = verdict.as_dict()
+        if args.format == "text":
+            print(verdict.format_table())
         pool_docs.append(doc)
         if not report.ok:
             failures.append(f"{label}: no legal launch with pool defaults")
@@ -288,7 +279,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                     "checked": checked,
                     "ok": not failures,
                     "failures": failures,
-                    "dominance": settings.dominance,
                     "pools": pool_docs,
                     "rules": [rule.as_dict() for rule in RULES],
                 },

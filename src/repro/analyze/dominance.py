@@ -16,9 +16,8 @@ engine winner can never be pruned: a pruned ``W`` would satisfy
 winning.
 
 The :class:`CostBoundPass`/:class:`DominancePass` verifier passes emit the
-``DYSEL-COST-*`` / ``DYSEL-DOM-*`` diagnostics; both are inert unless the
-context's :class:`~repro.config.AnalyzeSettings` opt into dominance
-analysis, so default verification behaviour is unchanged.
+``DYSEL-COST-*`` / ``DYSEL-DOM-*`` diagnostics.  Pruning is always on;
+``AnalyzeSettings(dominance_margin=float("inf"))`` prunes nothing.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class DominanceVerdict:
         raise KeyError(f"pool {self.pool!r} has no variant {name!r}")
 
     def format_table(self) -> str:
-        """Interval table + pruned set (CLI ``--dominance`` rendering)."""
+        """Interval table + pruned set (CLI text rendering)."""
         unit = (
             f"cycles/{self.workload_units}u"
             if self.workload_units is not None
@@ -193,26 +192,6 @@ def pool_cost_bounds(
     )
 
 
-def cold_start_estimate(
-    pool: VariantPool,
-    device_kind: str,
-    policy: WideningPolicy = WideningPolicy(),
-) -> Optional[float]:
-    """Static cycles-per-unit prior for a pool with no measurements yet.
-
-    The serve scheduler uses this as its cold-start load estimate before
-    any selection-store entry exists: the midpoint of the pool default
-    variant's per-unit interval (the variant a cold launch runs first).
-    ``None`` when the interval is unbounded.
-    """
-    default = pool.variant(pool.initial_default)
-    bound = variant_cost_bound(default, device_kind, policy)
-    interval = bound.per_unit_interval
-    if not interval.is_bounded:
-        return None
-    return interval.midpoint
-
-
 # ----------------------------------------------------------------------
 # Verifier passes
 # ----------------------------------------------------------------------
@@ -231,18 +210,12 @@ def _context_verdict(ctx: PoolContext) -> DominanceVerdict:
 
 
 class CostBoundPass(VerifierPass):
-    """Static cost intervals per variant (``DYSEL-COST-*``).
-
-    Inert unless the context settings opt into dominance analysis, so the
-    default verification pipeline is byte-for-byte unchanged.
-    """
+    """Static cost intervals per variant (``DYSEL-COST-*``)."""
 
     name = "cost-bound"
 
     def run(self, ctx: PoolContext) -> Iterable[Diagnostic]:
         """Emit interval facts for every variant in the pool."""
-        if not ctx.settings.dominance:
-            return
         verdict = _context_verdict(ctx)
         for v in verdict.verdicts:
             per_unit = v.bound.per_unit_interval
@@ -278,17 +251,12 @@ class CostBoundPass(VerifierPass):
 
 
 class DominancePass(VerifierPass):
-    """Dominance pruning verdicts (``DYSEL-DOM-*``).
-
-    Also inert unless dominance analysis is enabled in the settings.
-    """
+    """Dominance pruning verdicts (``DYSEL-DOM-*``)."""
 
     name = "dominance"
 
     def run(self, ctx: PoolContext) -> Iterable[Diagnostic]:
         """Emit pruning findings for dominated variants."""
-        if not ctx.settings.dominance:
-            return
         verdict = _context_verdict(ctx)
         best = verdict.verdict(verdict.best_name)
         for name in verdict.pruned:
@@ -351,7 +319,6 @@ __all__: List[str] = [
     "DominancePass",
     "DominanceVerdict",
     "VariantVerdict",
-    "cold_start_estimate",
     "policy_from_settings",
     "pool_cost_bounds",
     "prune_pool",

@@ -10,7 +10,7 @@ matter how many launches hit it.
 
 The default pipeline is :data:`FULL_PASSES`: the six legality passes from
 :mod:`~repro.analyze.passes` plus the cost-bound/dominance passes from
-:mod:`~repro.analyze.dominance` (inert unless the settings opt in).
+:mod:`~repro.analyze.dominance`.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ The suppression baseline lives in two equivalent places:
 * declaratively, as a ``[tool.repro.analyze]`` table in ``pyproject.toml``::
 
       [tool.repro.analyze]
-      dominance = true
-      dominance_margin = 1.5
+      dominance_margin = 1.5     # inf profiles every variant
       data_trip_bounds = [0, 4096]
 
       [[tool.repro.analyze.rules]]
@@ -111,7 +110,7 @@ def load_pyproject_settings(
     if table is None:
         return settings
 
-    known = {"dominance", "dominance_margin", "data_trip_bounds", "rules"}
+    known = {"dominance_margin", "data_trip_bounds", "rules"}
     unknown_keys = sorted(set(table) - known)
     if unknown_keys:
         raise ConfigurationError(
@@ -120,8 +119,6 @@ def load_pyproject_settings(
         )
 
     changes = {}
-    if "dominance" in table:
-        changes["dominance"] = bool(table["dominance"])
     if "dominance_margin" in table:
         changes["dominance_margin"] = float(table["dominance_margin"])
     if "data_trip_bounds" in table:

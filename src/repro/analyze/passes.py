@@ -73,8 +73,8 @@ class PoolContext:
     #: Device kind the pool will launch on ("cpu"/"gpu"); drives the
     #: cost-bound passes' device model selection.
     device_kind: str = "cpu"
-    #: Analysis settings (dominance opt-in, widening bounds, configured
-    #: rule adjustments); defaults leave the cost passes inert.
+    #: Analysis settings (dominance margin, widening bounds, configured
+    #: rule adjustments).
     settings: AnalyzeSettings = field(default_factory=AnalyzeSettings)
 
     @property

@@ -151,20 +151,17 @@ class RuleAdjustment:
 class AnalyzeSettings:
     """Static cost-bound analysis knobs (:mod:`repro.analyze`).
 
-    ``dominance`` opts the runtime and serve scheduler into static
-    cost-interval features: dominance pruning of micro-profiling candidate
-    sets and cold-start load estimates from interval midpoints.  Off by
-    default — the analysis is sound but its pruning is a behaviour change
-    (fewer variants measured), so it is an explicit opt-in like tracing.
+    The runtime always prunes statically dominated variants from its
+    micro-profiling candidate sets (never from the correctness pool).
+    ``dominance_margin`` (``>= 1``) is the safety factor a variant's
+    best case must exceed a rival's worst case by before it is pruned;
+    ``float("inf")`` prunes nothing, so every variant is profiled.
 
     ``data_trip_bounds`` is the widening interval assumed for any
     data-dependent loop's per-unit trip count; workloads outside it void
-    the interval-soundness guarantee.  ``dominance_margin`` (``>= 1``)
-    is the safety factor a variant's best case must exceed a rival's
-    worst case by before it is pruned.
+    the interval-soundness guarantee.
     """
 
-    dominance: bool = False
     dominance_margin: float = 1.25
     data_trip_bounds: Tuple[float, float] = (0.0, 4096.0)
     #: Configured per-rule severity adjustments (``[tool.repro.analyze]``).
@@ -216,8 +213,8 @@ class ReproConfig:
     #: branch per instrumentation site.
     trace: bool = False
     #: Static cost-bound analysis settings (:mod:`repro.analyze`):
-    #: dominance pruning of profiling candidates, interval widening
-    #: bounds, and configured rule-severity adjustments.
+    #: the dominance pruning margin for profiling candidates, interval
+    #: widening bounds, and configured rule-severity adjustments.
     analyze: AnalyzeSettings = field(default_factory=AnalyzeSettings)
 
     def __post_init__(self) -> None:

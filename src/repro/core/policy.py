@@ -326,19 +326,15 @@ class PlacementCandidate:
     clock (cycles of already-committed work).  ``measured_cycles`` is the
     store's EWMA estimate for this (kernel, kind, class) scaled to the
     request — ``None`` until the class has been profiled on this kind.
-    ``static_cycles`` is the static cost-bound interval midpoint from
-    :mod:`repro.analyze.costbound` scaled the same way — ``None`` when
-    the analysis could not bound the pool on this kind.  ``quarantined``
-    marks a kind whose *entire* pool is currently barred by
-    :class:`~repro.faults.quarantine.VariantQuarantine`; such kinds are
-    excluded from placement the way quarantined variants are excluded
-    from selection.
+    ``quarantined`` marks a kind whose *entire* pool is currently barred
+    by :class:`~repro.faults.quarantine.VariantQuarantine`; such kinds
+    are excluded from placement the way quarantined variants are
+    excluded from selection.
     """
 
     device_kind: str
     load_cycles: float = 0.0
     measured_cycles: Optional[float] = None
-    static_cycles: Optional[float] = None
     quarantined: bool = False
 
     @property
@@ -346,19 +342,13 @@ class PlacementCandidate:
         """Which estimate a cost-model placement would use for this kind."""
         if self.measured_cycles is not None:
             return "measured"
-        if self.static_cycles is not None:
-            return "static"
         return "load"
 
     @property
     def projected_cycles(self) -> float:
         """Projected finish time under the cost-model policy."""
         cost = self.measured_cycles
-        if cost is None:
-            cost = self.static_cycles
-        if cost is None:
-            cost = 0.0
-        return self.load_cycles + cost
+        return self.load_cycles + (cost if cost is not None else 0.0)
 
 
 @dataclass(frozen=True)
@@ -368,10 +358,10 @@ class PlacementDecision:
     The ``reason`` vocabulary mirrors the variant-selection reasons of
     :func:`decide` so traces read uniformly: ``"pinned device kind"``
     (caller forced the kind), ``"single eligible device kind"`` (nothing
-    to choose), ``"dynamic load placement"`` (least projected load wins),
-    ``"store-measured placement"`` / ``"static cost-bound placement"``
-    (cost-model policy; the winner's estimate came from warm EWMA state
-    or from the cold-start static interval midpoint).  Quarantine and
+    to choose), ``"dynamic load placement"`` (least projected load wins:
+    the dynamic-load policy, or a cost-model winner with no store
+    measurement yet), ``"store-measured placement"`` (cost-model policy;
+    the winner's estimate came from warm EWMA state).  Quarantine and
     stale-pin notes are appended the same way :func:`decide` appends
     dominance notes.
     """
@@ -403,10 +393,10 @@ def decide_placement(
        (the oneDPL ``dynamic_load_policy`` rule).
     5. ``policy="cost-model"`` picks the least *projected finish time*:
        load plus the store-measured EWMA estimate when the class is warm
-       on that kind, else the static cost-bound midpoint, else load
-       alone.  The reason names the winner's basis, so a trace shows
-       cold-start placements flip from ``"static cost-bound placement"``
-       to ``"store-measured placement"`` as the store warms.
+       on that kind, else load alone.  The reason names the winner's
+       basis, so a trace shows cold-start placements flip from
+       ``"dynamic load placement"`` to ``"store-measured placement"`` as
+       the store warms.
 
     Raises :class:`~repro.errors.LaunchError` when no kind is eligible
     or ``policy`` is unknown.
@@ -467,7 +457,6 @@ def decide_placement(
     winner = min(eligible, key=lambda c: (c.projected_cycles, c.device_kind))
     basis_reason = {
         "measured": "store-measured placement",
-        "static": "static cost-bound placement",
         "load": "dynamic load placement",
     }[winner.cost_basis]
     return PlacementDecision(

@@ -158,8 +158,7 @@ class DySelRuntime:
         #: Cache of dominance-pruned profiling candidate pools, keyed by
         #: ``(kernel, active-variant-names)`` — the active set changes
         #: with quarantine, and a replaced pool object fails the identity
-        #: check, so a stale pruned pool is never reused.  Only consulted
-        #: when ``ReproConfig.analyze.dominance`` is on.
+        #: check, so a stale pruned pool is never reused.
         self._dominance_pools: Dict[
             Tuple[str, Tuple[str, ...]],
             Tuple[VariantPool, VariantPool, Tuple[str, ...]],
@@ -507,13 +506,18 @@ class DySelRuntime:
                     self.engine, profile_pool, plan, launch, self.config
                 )
             else:
+                async_pool, eager, eager_note = self._eager_pool(
+                    pool, profile_pool, initial_variant, plan.remainder
+                )
+                if eager_note:
+                    reason += "; " + eager_note
                 outcome = run_async(
                     self.engine,
-                    profile_pool,
+                    async_pool,
                     plan,
                     launch,
                     self.config,
-                    initial_variant=initial_variant,
+                    initial_variant=eager,
                 )
         except ProfilingFaultError as exc:
             so_far = replace(decision, reason=reason)
@@ -706,20 +710,20 @@ class DySelRuntime:
     ) -> Tuple[VariantPool, Tuple[str, ...]]:
         """The micro-profiling candidate pool after dominance pruning.
 
-        With ``ReproConfig.analyze.dominance`` off (the default) the pool
-        passes through untouched.  On, each variant's static cost
-        interval (:mod:`repro.analyze.costbound`, per-unit bounds so the
-        verdict holds for every workload size) is compared against the
-        best upper bound; variants whose lower bound exceeds it by the
-        safety margin are excluded from *profiling only* — the returned
-        names never leave the correctness pool, so quarantine fallback,
-        pinning, and differential testing still see them.  Composes with
-        quarantine: ``pool`` here is already the quarantine-filtered
-        active pool, and the cache key includes its variant names.
+        Each variant's static cost interval (:mod:`repro.analyze.costbound`,
+        per-unit bounds so the verdict holds for every workload size) is
+        compared against the best upper bound; variants whose lower bound
+        exceeds it by ``AnalyzeSettings.dominance_margin`` (``inf`` prunes
+        nothing) are excluded from *profiling only* — the returned names
+        never leave the correctness pool, so quarantine fallback, pinning,
+        explicit eager defaults, and differential testing still see them.
+        Composes with quarantine: ``pool`` here is already the
+        quarantine-filtered active pool, and the cache key includes its
+        variant names.
         """
-        settings = self.config.analyze
-        if not settings.dominance or len(pool.variants) <= 1:
+        if len(pool.variants) <= 1:
             return pool, ()
+        settings = self.config.analyze
         key = (kernel_sig, pool.variant_names)
         hit = self._dominance_pools.get(key)
         if hit is not None and hit[0] is pool:
@@ -733,6 +737,43 @@ class DySelRuntime:
         pruned_pool, dominated = prune_pool(pool, verdict)
         self._dominance_pools[key] = (pool, pruned_pool, dominated)
         return pruned_pool, dominated
+
+    @staticmethod
+    def _eager_pool(
+        pool: VariantPool,
+        profile_pool: VariantPool,
+        initial_variant: Optional[str],
+        remainder: WorkRange,
+    ) -> Tuple[VariantPool, Optional[str], str]:
+        """The async flow's pool and eager default, plus a reason note.
+
+        Dominance pruning shrinks the *profiling* candidates only.  An
+        explicit initial default (the programmer's suggestion, paper
+        §2.4) is resolved against the correctness ``pool``: when the pass
+        dominated it, it joins the async pool without a profiling task
+        and still runs the eager chunks.  Its work-groups must start on
+        the remainder the survivors' plan leaves; when they cannot, the
+        eager chunks run the survivors' default and the note says so.
+        """
+        if (
+            initial_variant is None
+            or initial_variant in profile_pool.variant_names
+        ):
+            return profile_pool, initial_variant, ""
+        requested = pool.variant(initial_variant)
+        if remainder.start % requested.wa_factor:
+            return profile_pool, None, (
+                f"initial variant {initial_variant!r} is statically "
+                "dominated and misaligned with the survivors' profiling "
+                f"slices; eager chunks run {profile_pool.initial_default!r}"
+            )
+        eager_pool = VariantPool(
+            spec=profile_pool.spec,
+            variants=profile_pool.variants + (requested,),
+            mode=profile_pool.mode,
+            initial_default=profile_pool.initial_default,
+        )
+        return eager_pool, initial_variant, ""
 
     def _note_faults(
         self, kernel_sig: str, faults: Sequence[FaultRecord]

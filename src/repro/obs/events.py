@@ -110,8 +110,7 @@ class EventKind(enum.Enum):
     * ``PLACEMENT`` — the scheduler resolved the *device-kind* dimension
       of the selection tuple for one request; ``args`` carries the chosen
       kind, the placement reason (pinned / single kind / dynamic load /
-      store-measured / static cost-bound), and the projected cost per
-      candidate kind.
+      store-measured), and the projected cost per candidate kind.
     * ``SPLIT_LAUNCH`` — one large launch was split into per-device
       work ranges and stitched back together; ``args`` carries the part
       ranges, the devices they ran on, and the unit partition.
@@ -133,9 +132,9 @@ class EventKind(enum.Enum):
       overload; ``args`` carries the class, the queue pressure, and
       what was deferred.
 
-    Static-analysis (emitted by the runtime when
-    ``ReproConfig.analyze.dominance`` is on; an instant, so traces
-    with pruning enabled still reconcile cleanly):
+    Static-analysis (emitted by the runtime when a profiled launch's
+    pool has statically dominated variants; an instant, so traces with
+    pruning still reconcile cleanly):
 
     * ``DOMINANCE_PRUNE`` — the static cost-bound analysis excluded
       variants from the micro-profiling candidate set; ``args`` carries

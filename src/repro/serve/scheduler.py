@@ -48,7 +48,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analyze.dominance import cold_start_estimate, policy_from_settings
 from ..compiler.analyses.safe_point import lcm_of
 from ..compiler.variants import VariantPool
 from ..config import ReproConfig
@@ -363,23 +362,15 @@ class _DeviceWorker:
         """The device's architecture kind (selections transfer within it)."""
         return self.runtime.device.kind
 
-    def estimate_cost(
-        self,
-        known_cost: Optional[float],
-        static_cost: Optional[float] = None,
-    ) -> float:
+    def estimate_cost(self, known_cost: Optional[float]) -> float:
         """Estimated cycles one request will cost on this device.
 
         Prefers the caller's workload-class estimate (from the selection
-        store); then the static cost-bound midpoint for the kernel (the
-        cold-start prior from :mod:`repro.analyze.costbound`, available
-        before any store entry exists); then this device's observed mean
-        launch cost; then zero before any launch has completed.
+        store); then this device's observed mean launch cost; then zero
+        before any launch has completed.
         """
         if known_cost is not None:
             return known_cost
-        if static_cost is not None:
-            return static_cost
         with self._load_lock:
             if self._completed_launches > 0:
                 return self._completed_cycles / self._completed_launches
@@ -459,9 +450,8 @@ class LaunchScheduler:
             How the device-kind dimension is resolved on mixed fleets:
             ``"cost-model"`` (default) picks the least projected finish
             time — load plus the store-measured EWMA estimate when warm,
-            else the static cost-bound prior; ``"dynamic-load"`` picks
-            the least projected load alone (the oneDPL
-            ``dynamic_load_policy`` rule).
+            else load alone; ``"dynamic-load"`` picks the least projected
+            load alone (the oneDPL ``dynamic_load_policy`` rule).
         split_threshold:
             Auto-split launches of at least this many workload units
             across the fleet (:meth:`launch_split`); ``None`` (default)
@@ -531,17 +521,6 @@ class LaunchScheduler:
         self._seq = itertools.count()
         self._stats_lock = threading.Lock()
         self._dispatch_lock = threading.Lock()
-        #: Cached static per-unit cost priors, keyed by (kernel, device
-        #: kind); ``None`` entries mean "no bounded prior" (dominance
-        #: off, unknown kernel/kind, or an unbounded interval).  Guarded
-        #: by ``_static_lock``; invalidated both by the runtime hooks
-        #: (re-registration, extension) and by :meth:`register_pool`
-        #: itself — a *first* registration fires no hook, and a ``None``
-        #: cached before it must not outlive it.
-        self._static_estimates: Dict[
-            Tuple[str, str], Optional[float]
-        ] = {}
-        self._static_lock = threading.Lock()
         for worker in self._workers:
             worker.runtime.add_invalidation_hook(self._on_invalidate)
 
@@ -559,13 +538,6 @@ class LaunchScheduler:
         variants of a kernel on the CPUs, the GPU variants on the GPUs)
         under one kernel signature name.  ``None`` (the default)
         registers on every device, preserving the homogeneous behavior.
-
-        Any cached static cost prior for the kernel is dropped here, not
-        just in the invalidation hook: the hook only fires when an
-        *existing* registration is replaced or extended, so a prior
-        (including a cached ``None`` = "no bounded prior") computed
-        before the first registration would otherwise stay stale
-        forever.
         """
         if device_kind is not None and device_kind not in self._kind_workers:
             raise ServeError(
@@ -579,52 +551,9 @@ class LaunchScheduler:
         )
         for worker in targets:
             worker.runtime.register_pool(pool)
-        self._drop_static_estimates(pool.name)
-
-    def _drop_static_estimates(self, kernel: str) -> None:
-        """Forget every cached (kernel, device-kind) cost prior."""
-        with self._static_lock:
-            for key in [
-                k for k in self._static_estimates if k[0] == kernel
-            ]:
-                del self._static_estimates[key]
-
-    def _static_unit_cost(
-        self, kernel: str, device_kind: str
-    ) -> Optional[float]:
-        """The kernel's static per-unit cost prior on one device kind.
-
-        The midpoint of the pool default's static cost interval
-        (:func:`repro.analyze.dominance.cold_start_estimate`), cached per
-        (kernel, kind).  ``None`` when ``config.analyze.dominance`` is
-        off, the kernel is unknown on that kind, or the interval is
-        unbounded — dispatch then falls back to observed means exactly
-        as before.
-        """
-        settings = self.config.analyze
-        if not settings.dominance:
-            return None
-        key = (kernel, device_kind)
-        with self._static_lock:
-            if key in self._static_estimates:
-                return self._static_estimates[key]
-            estimate: Optional[float] = None
-            for worker in self._workers:
-                if worker.device_kind != device_kind:
-                    continue
-                if kernel in worker.runtime.registry:
-                    estimate = cold_start_estimate(
-                        worker.runtime.registry.pool(kernel),
-                        device_kind,
-                        policy=policy_from_settings(settings),
-                    )
-                break
-            self._static_estimates[key] = estimate
-            return estimate
 
     def _on_invalidate(self, kernel: str, why: str) -> None:
         """Runtime invalidation hook → evict persisted selections too."""
-        self._drop_static_estimates(kernel)
         evicted = self.store.invalidate_kernel(kernel)
         if evicted and self.tracer.enabled:
             self.tracer.instant(
@@ -815,23 +744,21 @@ class LaunchScheduler:
         Dict[str, WorkloadSignature],
         Dict[str, List[_DeviceWorker]],
         Dict[str, Optional[float]],
-        Dict[str, Optional[float]],
     ]:
         """Per-device-kind bids for one request.
 
         For each kind that has the kernel registered: the workload-class
         signature (kinds cost independently — the kind is part of the
         key), the store-measured cost when the class is warm there, the
-        static cost-bound prior, the least-loaded same-kind worker's
-        projected clock, and whether the kind's whole pool is
-        quarantined.  Raises when no kind has the kernel.
+        least-loaded same-kind worker's projected clock, and whether the
+        kind's whole pool is quarantined.  Raises when no kind has the
+        kernel.
         """
         units = request.workload_units
         candidates: List[PlacementCandidate] = []
         signatures: Dict[str, WorkloadSignature] = {}
         kind_workers: Dict[str, List[_DeviceWorker]] = {}
         costs: Dict[str, Optional[float]] = {}
-        statics: Dict[str, Optional[float]] = {}
         for kind in self._kinds:
             workers = [
                 w
@@ -849,10 +776,6 @@ class LaunchScheduler:
             costs[kind] = (
                 entry.cycles_per_unit * units if entry is not None else None
             )
-            unit_cost = self._static_unit_cost(request.kernel, kind)
-            statics[kind] = (
-                unit_cost * units if unit_cost is not None else None
-            )
             pool = workers[0].runtime.registry.pool(request.kernel)
             barred = self.store.quarantine.quarantined(pool.name)
             candidates.append(
@@ -860,7 +783,6 @@ class LaunchScheduler:
                     device_kind=kind,
                     load_cycles=min(w.projected_clock() for w in workers),
                     measured_cycles=costs[kind],
-                    static_cycles=statics[kind],
                     quarantined=all(
                         name in barred for name in pool.variant_names
                     ),
@@ -871,7 +793,7 @@ class LaunchScheduler:
                 f"kernel {request.kernel!r} is not registered on any "
                 f"device (fleet kinds: {self._kinds})"
             )
-        return candidates, signatures, kind_workers, costs, statics
+        return candidates, signatures, kind_workers, costs
 
     def _dispatch(
         self, request: ServeRequest, seq: int
@@ -881,11 +803,11 @@ class LaunchScheduler:
         The *kind* is the placement dimension of the selection tuple,
         resolved by :func:`repro.core.policy.decide_placement` under the
         scheduler's placement policy (store-measured EWMA estimates once
-        the class is warm, static cost-bound priors cold, projected load
-        always).  Within the chosen kind the earliest projected finish
-        wins, and the winner's estimate is reserved on its pending load
-        under the dispatch lock, so concurrent clients don't pile onto
-        the same momentarily-idle device.
+        the class is warm, projected load always).  Within the chosen
+        kind the earliest projected finish wins, and the winner's
+        estimate is reserved on its pending load under the dispatch lock,
+        so concurrent clients don't pile onto the same momentarily-idle
+        device.
 
         When every kind's pool is fully quarantined the quarantine flags
         are ignored here: dispatch still picks a device and the runtime
@@ -893,7 +815,7 @@ class LaunchScheduler:
         quarantined-variant detail), exactly as before placement
         existed.
         """
-        candidates, signatures, kind_workers, costs, statics = (
+        candidates, signatures, kind_workers, costs = (
             self._placement_candidates(request)
         )
         if all(c.quarantined for c in candidates):
@@ -912,11 +834,11 @@ class LaunchScheduler:
                 kind_workers[kind],
                 key=lambda w: (
                     w.projected_clock()
-                    + w.estimate_cost(costs[kind], statics[kind]),
+                    + w.estimate_cost(costs[kind]),
                     w.streams.in_flight,
                 ),
             )
-            estimate = worker.estimate_cost(costs[kind], statics[kind])
+            estimate = worker.estimate_cost(costs[kind])
             worker.commit(estimate)
         if self.tracer.enabled and (
             len(candidates) > 1 or request.device_kind is not None
@@ -964,10 +886,10 @@ class LaunchScheduler:
         (default: ``request.split``, else one per eligible device)
         contiguous aligned sub-ranges, sized inversely to each target
         device kind's estimated cycles per unit (store-measured EWMA
-        when warm, static cost-bound prior cold, equal shares when
-        neither exists), and each part runs as a ranged profiling-off
-        launch on its own device — against the *same* argument buffers,
-        whose disjoint output slices stitch the result by construction.
+        when warm, equal shares when any target is cold), and each part
+        runs as a ranged profiling-off launch on its own device — against
+        the *same* argument buffers, whose disjoint output slices stitch
+        the result by construction.
         Parts never micro-profile or publish; the class warms up through
         whole launches only.
 
@@ -988,7 +910,7 @@ class LaunchScheduler:
                 split_requested=parts or request.split,
             )
         whole = replace(request, split=None)
-        candidates, _, kind_workers, costs, statics = (
+        candidates, _, kind_workers, costs = (
             self._placement_candidates(request)
         )
         eligible_kinds = [
@@ -1024,11 +946,10 @@ class LaunchScheduler:
         ]
 
         def unit_cost(worker: _DeviceWorker) -> Optional[float]:
-            kind = worker.device_kind
-            for basis in (costs[kind], statics[kind]):
-                if basis is not None and units > 0:
-                    return basis / units
-            return None
+            basis = costs[worker.device_kind]
+            if basis is None or units <= 0:
+                return None
+            return basis / units
 
         per_unit = [unit_cost(w) for w in chosen]
         if any(c is None or c <= 0 for c in per_unit):

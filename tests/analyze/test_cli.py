@@ -92,23 +92,29 @@ class TestCli:
 
 
 class TestDominanceFlag:
+    """Every pool's dominance verdict is always reported."""
+
     def test_dominance_renders_interval_table(self, capsys):
-        assert run(["--pool", "sgemm", "--dominance"]) == 0
+        assert run(["--pool", "sgemm"]) == 0
         out = capsys.readouterr().out
         assert "cost bounds" in out
         assert "PRUNED" in out
 
     def test_dominance_json_embeds_verdicts(self, capsys):
-        assert run(["--all-examples", "--dominance", "--strict",
-                    "--format", "json"]) == 0
+        assert run(["--all-examples", "--strict", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
-        assert doc["dominance"] is True
         verdicts = [p["dominance"] for p in doc["pools"]]
         assert all("pruned" in v and "survivors" in v for v in verdicts)
         # The synthetic catalog has at least one statically hopeless
-        # variant somewhere, or the flag is not exercising anything.
+        # variant somewhere, or the analysis is not exercising anything.
         assert any(v["pruned"] for v in verdicts)
+
+    def test_removed_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--pool", "sgemm", "--dominance"])
+        assert excinfo.value.code == 2
+        assert "--dominance" in capsys.readouterr().err
 
 
 class TestExplain:

@@ -10,7 +10,6 @@ from repro.analyze.dominance import (
     DEFAULT_MARGIN,
     CostBoundPass,
     DominancePass,
-    cold_start_estimate,
     policy_from_settings,
     pool_cost_bounds,
     prune_pool,
@@ -158,15 +157,19 @@ class TestPasses:
         )
         return list(verifier_pass.run(ctx))
 
-    def test_passes_are_inert_by_default(self):
-        settings = AnalyzeSettings()
-        assert not self._run(CostBoundPass(), spread_pool(), settings)
+    def test_infinite_margin_prunes_nothing(self):
+        # ``dominance_margin=inf`` is the one way to profile the full
+        # pool: no verdict prunes, and the dominance pass stays silent.
+        settings = AnalyzeSettings(dominance_margin=float("inf"))
+        verdict = pool_cost_bounds(
+            spread_pool(), "cpu", margin=settings.dominance_margin
+        )
+        assert not verdict.pruned
+        assert verdict.survivors == ("fast", "close", "slow")
         assert not self._run(DominancePass(), spread_pool(), settings)
 
     def test_cost_bound_pass_emits_interval_per_variant(self):
-        found = self._run(
-            CostBoundPass(), spread_pool(), AnalyzeSettings(dominance=True)
-        )
+        found = self._run(CostBoundPass(), spread_pool(), AnalyzeSettings())
         ids = [d.rule_id for d in found]
         assert ids.count("DYSEL-COST-001") == 3
         # The axpy fixtures stream through caches of unknown working
@@ -179,15 +182,12 @@ class TestPasses:
             compute_units=4,
             workload_units=4096,
             device_kind="tpu",
-            settings=AnalyzeSettings(dominance=True),
         )
         ids = [d.rule_id for d in CostBoundPass().run(ctx)]
         assert "DYSEL-COST-003" in ids
 
     def test_dominance_pass_names_pruned_variants(self):
-        found = self._run(
-            DominancePass(), spread_pool(), AnalyzeSettings(dominance=True)
-        )
+        found = self._run(DominancePass(), spread_pool(), AnalyzeSettings())
         pruned = [d for d in found if d.rule_id == "DYSEL-DOM-001"]
         assert [d.variant for d in pruned] == ["slow"]
         assert "statically dominated" in pruned[0].message
@@ -197,17 +197,5 @@ class TestPasses:
             make_axpy_variant("fast", flops_per_trip=4096.0),
             make_axpy_variant("slow", flops_per_trip=4096.0 * 1000),
         )
-        found = self._run(
-            DominancePass(), pool, AnalyzeSettings(dominance=True)
-        )
+        found = self._run(DominancePass(), pool, AnalyzeSettings())
         assert "DYSEL-DOM-002" in [d.rule_id for d in found]
-
-
-class TestColdStartEstimate:
-    def test_default_variant_midpoint(self):
-        pool = spread_pool()
-        estimate = cold_start_estimate(pool, "cpu")
-        assert estimate is not None and estimate > 0
-
-    def test_unbounded_interval_yields_none(self):
-        assert cold_start_estimate(spread_pool(), "tpu") is None

@@ -89,7 +89,7 @@ needs_tomllib = pytest.mark.skipif(
 
 class TestLoadPyprojectSettings:
     def test_missing_file_returns_base(self, tmp_path):
-        base = AnalyzeSettings(dominance=True)
+        base = AnalyzeSettings(dominance_margin=2.0)
         loaded = load_pyproject_settings(
             tmp_path / "pyproject.toml", base=base
         )
@@ -106,7 +106,6 @@ class TestLoadPyprojectSettings:
         path = tmp_path / "pyproject.toml"
         path.write_text(
             "[tool.repro.analyze]\n"
-            "dominance = true\n"
             "dominance_margin = 1.5\n"
             "data_trip_bounds = [1, 2048]\n"
             "[[tool.repro.analyze.rules]]\n"
@@ -115,7 +114,6 @@ class TestLoadPyprojectSettings:
             'pools = ["axpy"]\n'
         )
         loaded = load_pyproject_settings(path)
-        assert loaded.dominance is True
         assert loaded.dominance_margin == 1.5
         assert loaded.data_trip_bounds == (1.0, 2048.0)
         assert loaded.rules == (
@@ -131,6 +129,22 @@ class TestLoadPyprojectSettings:
         with pytest.raises(ConfigurationError) as excinfo:
             load_pyproject_settings(path)
         assert "dominence" in str(excinfo.value)
+
+    @needs_tomllib
+    def test_removed_dominance_switch_is_an_unknown_key(self, tmp_path):
+        # Pruning is always on; the old on/off switch must not be
+        # silently accepted (``dominance_margin = inf`` turns it off).
+        path = tmp_path / "pyproject.toml"
+        path.write_text("[tool.repro.analyze]\ndominance = false\n")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_pyproject_settings(path)
+        assert "['dominance']" in str(excinfo.value)
+
+    @needs_tomllib
+    def test_infinite_margin_parses(self, tmp_path):
+        path = tmp_path / "pyproject.toml"
+        path.write_text("[tool.repro.analyze]\ndominance_margin = inf\n")
+        assert load_pyproject_settings(path).dominance_margin == float("inf")
 
     @needs_tomllib
     def test_rule_entry_without_id_raises(self, tmp_path):

@@ -77,9 +77,8 @@ class TestEmissionsMatchRegistry:
     def test_all_emitted_rule_ids_are_registered(
         self, clean_pool, atomic_pool, no_output_pool
     ):
-        settings = AnalyzeSettings(dominance=True)
         for pool in (clean_pool, atomic_pool, no_output_pool):
-            for diagnostic in self._diagnostics(pool, settings):
+            for diagnostic in self._diagnostics(pool):
                 assert diagnostic.rule_id in RULE_IDS, diagnostic.rule_id
 
     def test_emitted_severities_match_registry_defaults(self, atomic_pool):
@@ -89,17 +88,18 @@ class TestEmissionsMatchRegistry:
             rule = find_rule(diagnostic.rule_id)
             assert diagnostic.severity is rule.severity, diagnostic.rule_id
 
-    def test_dominance_rules_only_fire_when_opted_in(self):
+    def test_dominance_rules_stay_silent_with_infinite_margin(self):
         pool = make_pool(
             make_axpy_variant("fast", flops_per_trip=64.0),
             make_axpy_variant("slow", flops_per_trip=64000.0),
         )
         default = {d.rule_id for d in self._diagnostics(pool)}
-        assert not any(
-            rid.startswith(("DYSEL-COST-", "DYSEL-DOM-")) for rid in default
-        )
-        opted = {
+        assert {"DYSEL-COST-001", "DYSEL-DOM-001"} <= default
+        unpruned = {
             d.rule_id
-            for d in self._diagnostics(pool, AnalyzeSettings(dominance=True))
+            for d in self._diagnostics(
+                pool, AnalyzeSettings(dominance_margin=float("inf"))
+            )
         }
-        assert "DYSEL-COST-001" in opted
+        assert "DYSEL-COST-001" in unpruned
+        assert not any(rid.startswith("DYSEL-DOM-") for rid in unpruned)

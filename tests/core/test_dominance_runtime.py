@@ -1,10 +1,11 @@
 """Runtime integration of dominance pruning (analyze → core).
 
-With ``analyze.dominance`` on, the runtime statically prunes hopeless
-variants from the *profiling* candidate set before the first launch: the
-decision reason records the exclusion, a ``DOMINANCE_PRUNE`` trace event
-is emitted, and the winner is always a survivor.  The correctness pool
-is untouched — pruned variants remain pinnable and verifiable.
+The runtime always prunes statically hopeless variants from the
+*profiling* candidate set before the first launch: the decision reason
+records the exclusion, a ``DOMINANCE_PRUNE`` trace event is emitted, and
+the winner is always a survivor.  The correctness pool is untouched —
+pruned variants remain pinnable, verifiable, and runnable as an explicit
+eager default.  ``AnalyzeSettings(dominance_margin=inf)`` prunes nothing.
 """
 
 import dataclasses
@@ -17,7 +18,9 @@ from repro.core import DySelRuntime
 from repro.core.policy import LaunchIntent, SelectionCache, decide
 from repro.device import make_cpu
 from repro.kernel import KernelSpec
+from repro.modes import OrchestrationFlow
 from repro.obs.events import EventKind
+from repro.workloads import sgemm
 from tests.conftest import (
     axpy_output_ok,
     axpy_signature,
@@ -29,11 +32,15 @@ UNITS = 512
 
 
 def dominance_config() -> ReproConfig:
-    """Noise-free config with pruning and tracing enabled."""
+    """Noise-free config with tracing enabled (pruning is always on)."""
+    return dataclasses.replace(ReproConfig().without_noise(), trace=True)
+
+
+def full_pool_config() -> ReproConfig:
+    """``dominance_config`` that profiles every variant."""
     return dataclasses.replace(
-        ReproConfig().without_noise(),
-        analyze=AnalyzeSettings(dominance=True),
-        trace=True,
+        dominance_config(),
+        analyze=AnalyzeSettings(dominance_margin=float("inf")),
     )
 
 
@@ -111,9 +118,7 @@ class TestPrunedProfiling:
         assert axpy_output_ok(args)
 
     def test_dominance_off_is_inert(self):
-        config = dataclasses.replace(
-            ReproConfig().without_noise(), trace=True
-        )
+        config = full_pool_config()
         runtime = make_runtime(config, spread_pool(1.0, 1.1, 100.0))
         result = runtime.launch_kernel(
             "axpy", make_axpy_args(UNITS, config), UNITS, profiling=True
@@ -123,6 +128,9 @@ class TestPrunedProfiling:
             e.kind is EventKind.DOMINANCE_PRUNE
             for e in runtime.tracer.events
         )
+        assert {m.variant for m in result.record.measurements} == {
+            "v_x1", "v_x1.1", "v_x100"
+        }
 
     def test_verdict_is_cached_per_pool(self):
         config = dominance_config()
@@ -169,13 +177,8 @@ class TestDecideWithDominated:
 class TestSelectionQuality:
     @pytest.mark.parametrize("units", (256, 512))
     def test_pruning_never_changes_the_selection(self, units):
-        base_config = dataclasses.replace(
-            ReproConfig().without_noise(),
-            analyze=AnalyzeSettings(dominance=False),
-        )
-        dom_config = dataclasses.replace(
-            base_config, analyze=AnalyzeSettings(dominance=True)
-        )
+        base_config = full_pool_config()
+        dom_config = dominance_config()
         scales = (1.0, 1.05, 1.2, 3.0, 10.0)
         base = make_runtime(base_config, spread_pool(*scales)).launch_kernel(
             "axpy", make_axpy_args(units, base_config), units, profiling=True
@@ -185,3 +188,72 @@ class TestSelectionQuality:
         )
         assert dom.selected == base.selected
         assert dom.profiling_latency_cycles < base.profiling_latency_cycles
+
+
+class TestExplicitEagerDefault:
+    """An explicit initial default the pass dominates still runs eagerly.
+
+    The paper leaves the initial default to the compiler or programmer
+    (§2.4); pruning only shrinks what gets micro-profiled.
+    """
+
+    @staticmethod
+    def _spans(runtime, kind):
+        return {e.name for e in runtime.tracer.events if e.kind is kind}
+
+    def test_dominated_default_runs_eager_chunks(self):
+        config = dominance_config()
+        case = sgemm.schedule_case(256, config)
+        requested = "base,k>wi_j>wi_i(BFO)"
+        runtime = make_runtime(config, case.pool)
+        args = case.make_args()
+        result = runtime.launch_kernel(
+            case.pool.name,
+            args,
+            case.workload_units,
+            flow=OrchestrationFlow.ASYNC,
+            initial_variant=requested,
+        )
+        assert result.profiled and result.eager_chunks > 0
+        prune = next(
+            e
+            for e in runtime.tracer.events
+            if e.kind is EventKind.DOMINANCE_PRUNE
+        )
+        assert requested in prune.args["pruned"]
+        assert self._spans(runtime, EventKind.EAGER_CHUNK) == {requested}
+        assert self._spans(runtime, EventKind.PROFILE_SPAN) == set(
+            prune.args["survivors"]
+        )
+        assert {m.variant for m in result.record.measurements} == set(
+            prune.args["survivors"]
+        )
+        assert case.check(args)
+
+    def test_misaligned_dominated_default_falls_back_with_a_note(self):
+        # The survivors' profiling slices end on a multiple of 2 units;
+        # a dominated wa_factor-3 default cannot start its work-groups
+        # there, so the eager chunks run the survivors' default instead.
+        config = dominance_config()
+        pool = VariantPool(
+            spec=KernelSpec(signature=axpy_signature()),
+            variants=(
+                make_axpy_variant("fast", wa_factor=2, flops_per_trip=4096.0),
+                make_axpy_variant(
+                    "close", wa_factor=2, flops_per_trip=4096.0 * 1.1
+                ),
+                make_axpy_variant(
+                    "slow", wa_factor=3, flops_per_trip=4096.0 * 100
+                ),
+            ),
+        )
+        runtime = make_runtime(config, pool)
+        args = make_axpy_args(UNITS, config)
+        result = runtime.launch_kernel(
+            "axpy", args, UNITS, initial_variant="slow"
+        )
+        assert "initial variant 'slow' is statically dominated" in (
+            result.reason
+        )
+        assert self._spans(runtime, EventKind.EAGER_CHUNK) == {"fast"}
+        assert axpy_output_ok(args)

@@ -416,9 +416,11 @@ class TestPlacementAxis:
 
     Fleet shape x placement policy x pinned kind x store warmth, checked
     against an independent oracle of the documented precedence.  The
-    candidate loads/costs are chosen so the cold (static cost-bound) and
+    candidate loads/costs are chosen so the cold (projected load) and
     warm (store-measured EWMA) winners *differ*, proving the basis is
-    actually consulted rather than the reason merely relabelled.
+    actually consulted rather than the reason merely relabelled.  A
+    "bare" cell (a fleet that has served nothing) bids exactly like a
+    "cold" one: no class measurement exists on any kind.
     """
 
     FLEET = ("cpu-only", "gpu-only", "mixed", "gpu-quarantined")
@@ -431,26 +433,24 @@ class TestPlacementAxis:
     )
 
     PLACEMENT_CATEGORIES = (
-        "pinned", "single", "dynamic", "static", "measured"
+        "pinned", "single", "dynamic", "measured"
     )
 
     def build_candidates(self, fleet, warmth):
-        def bid(kind, load, static, measured, quarantined=False):
+        def bid(kind, load, measured, quarantined=False):
             return policy.PlacementCandidate(
                 device_kind=kind,
                 load_cycles=load,
-                static_cycles=static if warmth == "cold" else None,
                 measured_cycles=measured if warmth == "warm" else None,
                 quarantined=quarantined,
             )
 
-        # gpu is least loaded; gpu wins cold (static), cpu wins warm
-        # (measured) — the EWMA contradicts the static prior on purpose.
-        cpu = bid("cpu", load=100.0, static=500.0, measured=50.0)
+        # gpu is least loaded; gpu wins cold (load), cpu wins warm
+        # (measured) — the EWMA contradicts the load order on purpose.
+        cpu = bid("cpu", load=100.0, measured=50.0)
         gpu = bid(
             "gpu",
             load=40.0,
-            static=200.0,
             measured=300.0,
             quarantined=fleet == "gpu-quarantined",
         )
@@ -466,7 +466,6 @@ class TestPlacementAxis:
             ("pinned device kind", "pinned"),
             ("single eligible device kind", "single"),
             ("dynamic load placement", "dynamic"),
-            ("static cost-bound placement", "static"),
             ("store-measured placement", "measured"),
         ):
             if reason.startswith(prefix):
@@ -488,10 +487,8 @@ class TestPlacementAxis:
             return "single", next(iter(eligible))
         if placement_policy == "dynamic-load":
             return "dynamic", "gpu"  # load 40 < 100
-        if warmth == "bare":
+        if warmth in ("bare", "cold"):
             return "dynamic", "gpu"  # cost-model degrades to load
-        if warmth == "cold":
-            return "static", "gpu"  # 40+200 < 100+500
         return "measured", "cpu"  # 100+50 < 40+300
 
     @pytest.mark.parametrize(

@@ -2,14 +2,12 @@
 
 End-to-end checks that the scheduler's two-level dispatch (kind via
 ``decide_placement``, device within kind) composes with the store, the
-static cost-bound priors, quarantine, and the trace vocabulary.
+load-only cold placement, quarantine, and the trace vocabulary.
 """
-
-import dataclasses
 
 import pytest
 
-from repro.config import AnalyzeSettings, ReproConfig
+from repro.config import ReproConfig
 from repro.device import make_cpu, make_gpu
 from repro.errors import LaunchAbortedError, ServeError
 from repro.obs.events import EventKind
@@ -85,15 +83,12 @@ class TestPlacementEndToEnd:
         assert all(o.placement for o in outcomes)
         assert sum(scheduler.stats.placements.values()) == 8
 
-    def test_cold_placement_uses_static_prior_then_warms(self):
-        """The cold->warm basis flip: first placements lean on the static
-        cost-bound prior, later ones on the store-measured EWMA."""
-        config = dataclasses.replace(
-            ReproConfig(), analyze=AnalyzeSettings(dominance=True)
-        )
+    def test_cold_placement_uses_load_then_warms(self, config):
+        """The cold->warm basis flip: first placements lean on projected
+        load alone, later ones on the store-measured EWMA."""
         scheduler = mixed_scheduler(config)
         first = scheduler.launch(spmv_request(config))
-        assert "static cost-bound placement" in first.placement
+        assert "dynamic load placement" in first.placement
         # Warm every kind's class so the EWMA exists fleet-wide.
         scheduler.launch(spmv_request(config, device_kind="cpu"))
         scheduler.launch(spmv_request(config, device_kind="gpu"))
