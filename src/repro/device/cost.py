@@ -27,9 +27,19 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+import weakref
+from dataclasses import astuple, dataclass
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -39,17 +49,36 @@ from ..kernel.kernel import KernelVariant, WorkRange
 from .base import Device
 from .memory import ELEM_BYTES, AccessCost
 
+T = TypeVar("T")
 
-@lru_cache(maxsize=4096)
+
+def _once_per_ir(ir: KernelIR, attr: str, compute: Callable[[KernelIR], T]) -> T:
+    """``compute(ir)``, evaluated once per IR object and kept on it.
+
+    ``KernelIR`` is a frozen dataclass, so an ``lru_cache`` lookup re-hashes
+    every field on every call.  The result lives in the instance
+    ``__dict__`` instead; it is not a dataclass field, so equality, repr and
+    ``dataclasses.replace`` never see it.
+    """
+    try:
+        return ir.__dict__[attr]
+    except KeyError:
+        return ir.__dict__.setdefault(attr, compute(ir))
+
+
 def ir_hash(ir: KernelIR) -> str:
     """Stable structural hash of an IR.
 
     Callables (data-dependent evaluators) are replaced by a fixed marker:
     static analyses never look through them, so two IRs differing only in
-    evaluator bodies hash identically — which is exactly why the cost-kernel
-    memo below refuses to cache IRs that carry any evaluator at all
+    evaluator bodies hash identically — which is exactly why the
+    cost-kernel memo keys a data-dependent IR on its identity as well
     (:func:`statically_priced`).
     """
+    return _once_per_ir(ir, "_ir_hash", _structural_hash)
+
+
+def _structural_hash(ir: KernelIR) -> str:
     parts = []
     for loop in ir.loops:
         bound = (
@@ -102,16 +131,20 @@ def ir_hash(ir: KernelIR) -> str:
     return digest.hexdigest()
 
 
-@lru_cache(maxsize=4096)
 def statically_priced(ir: KernelIR) -> bool:
     """True when an IR's pricing cannot depend on runtime data.
 
     An IR is statically priced when no loop bound, stride, or footprint is
     evaluator-driven: every per-unit cost term is then a function of IR
     constants (a constant ``footprint_bytes`` included) and buffer shapes
-    only, identical across units — the precondition for the cost-kernel
-    memo (and the reason ``ir_hash``'s evaluator-blindness is safe there).
+    only, identical across units.  The memo then keys it on the range
+    *length*; any other IR is keyed on its identity, its exact range and
+    the identity of every frozen input its evaluators may read.
     """
+    return _once_per_ir(ir, "_statically_priced", _no_evaluators)
+
+
+def _no_evaluators(ir: KernelIR) -> bool:
     if any(loop.bound.evaluator is not None for loop in ir.loops):
         return False
     return all(
@@ -132,19 +165,143 @@ def statically_priced(ir: KernelIR) -> bool:
 # class — repeated serving launches, profiling slices of equal length,
 # eager chunks — and the cached array is returned as-is (read-only), so a
 # warm launch derives nothing.
+#
+# A data-dependent IR is cached per *frozen input*: its key adds the IR's
+# identity, the exact range and the identity of every input its
+# evaluators may read (:func:`_input_key`).  Such an entry holds weak
+# references to the objects its key names by identity, and dies with the
+# first of them, so a recycled ``id()`` never meets a stale entry.
 
 _MEMO_LOCK = threading.Lock()
-_COST_MEMO: Dict[Tuple, np.ndarray] = {}
+#: key -> (cached value, weak references to the objects the key names by
+#: identity).  Cost-array keys start with the IR hash, so invalidation by
+#: hash covers both kinds of entry.
+_COST_MEMO: Dict[Tuple, Tuple[object, Tuple[weakref.ref, ...]]] = {}
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 #: Invalidation generation: a computation begun under an older generation
 #: must not repopulate the memo after an invalidation raced past it.
 _MEMO_GEN = 0
+#: Keys whose identity-keyed objects died.  A weakref callback may run
+#: inside a locked region (when the cyclic collector fires there), so it
+#: only appends here; every lookup drops these keys under the lock first.
+_DEAD_KEYS: List[Tuple] = []
+
+#: Argument values keyed by value (with their type, so ``1`` and ``1.0``
+#: never share an entry).
+_SCALARS = (bool, int, float, complex, str, bytes, type(None), np.generic)
+
+
+def _drop_dead_keys() -> None:
+    """Drop the entries whose keyed objects died (memo lock held)."""
+    while _DEAD_KEYS:
+        _COST_MEMO.pop(_DEAD_KEYS.pop(), None)
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """True when neither ``array`` nor any array it views is writeable,
+    and the memory at the bottom is an array's own (not a ``bytearray``
+    or a memory map that could change beneath it)."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
+def _input_key(value: object, holders: List[object]) -> Optional[Hashable]:
+    """Memo-key component of one input an evaluator may read.
+
+    A read-only :class:`Buffer` over a frozen array is keyed by the
+    array's identity; scalars and tuples by value; any other object (a
+    sparse matrix) by its identity and its arrays', only when every array
+    it holds is frozen.  Objects keyed by identity are appended to
+    ``holders``.  Returns None for an input that is not frozen: the
+    launch is then priced uncached.
+    """
+    if isinstance(value, Buffer):
+        if value.writable or not _frozen(value.data):
+            return None
+        holders.append(value.data)
+        return id(value.data)
+    if isinstance(value, _SCALARS):
+        return (type(value), value)
+    if isinstance(value, tuple):
+        parts = tuple(_input_key(item, holders) for item in value)
+        return None if None in parts else parts
+    identity = [id(value)]
+    for item in getattr(value, "__dict__", {}).values():
+        if isinstance(item, np.ndarray):
+            if not _frozen(item):
+                return None
+            holders.append(item)
+            identity.append(id(item))
+    if len(identity) == 1:
+        return None
+    holders.append(value)
+    return tuple(identity)
+
+
+def _weak_refs(key: Tuple, holders: List[object]) -> Tuple[weakref.ref, ...]:
+    """Weak references that evict ``key`` when any holder dies."""
+
+    def died(_ref: weakref.ref) -> None:
+        _DEAD_KEYS.append(key)
+
+    unique = {id(holder): holder for holder in holders}
+    return tuple(weakref.ref(holder, died) for holder in unique.values())
+
+
+def _memoized(
+    key: Optional[Tuple],
+    holders: List[object],
+    compute: Callable[[], T],
+    counted: bool,
+) -> T:
+    """The one memo path: the entry under ``key``, else ``compute()``,
+    inserted unless an invalidation raced past it.  A None key computes
+    uncached.  ``counted`` calls tally once each as a hit or a miss."""
+    global _MEMO_HITS, _MEMO_MISSES
+    generation = None
+    if key is not None:
+        with _MEMO_LOCK:
+            _drop_dead_keys()
+            entry = _COST_MEMO.get(key)
+            if entry is not None:
+                _MEMO_HITS += counted
+                return entry[0]  # type: ignore[return-value]
+            generation = _MEMO_GEN
+    result = compute()
+    refs = _weak_refs(key, holders) if key is not None else ()
+    with _MEMO_LOCK:
+        _MEMO_MISSES += counted
+        if key is not None and _MEMO_GEN == generation:
+            _COST_MEMO.setdefault(key, (result, refs))
+    return result
+
+
+def memoize_per_input(tag: str, value: object, compute: Callable[[], T]) -> T:
+    """``compute()``, cached in the cost memo per frozen input ``value``.
+
+    The same identity rule (:func:`_input_key`) and the same eviction as
+    data-dependent cost arrays; an input that is not frozen, or that
+    names no object by identity, is computed on every call.  Serving
+    uses it for the features of a frozen sparse matrix.
+    """
+    holders: List[object] = []
+    identity = _input_key(value, holders)
+    key = (tag, identity) if identity is not None and holders else None
+    return _memoized(key, holders, compute, counted=False)
 
 
 def cost_memo_stats() -> Dict[str, int]:
-    """Current memo size and hit/miss counters (monotonic until cleared)."""
+    """Current memo size and hit/miss counters (monotonic until cleared).
+
+    Every ``workgroup_cycles`` call that prices a non-empty range counts
+    once: a hit, or a miss when it computes (cached afterwards or not).
+    """
     with _MEMO_LOCK:
+        _drop_dead_keys()
         return {
             "entries": len(_COST_MEMO),
             "hits": _MEMO_HITS,
@@ -153,10 +310,12 @@ def cost_memo_stats() -> Dict[str, int]:
 
 
 def clear_cost_memo() -> None:
-    """Drop every memo entry and reset the hit/miss counters."""
+    """Drop every memo entry (signature features included) and reset the
+    hit/miss counters."""
     global _MEMO_HITS, _MEMO_MISSES, _MEMO_GEN
     with _MEMO_LOCK:
         _COST_MEMO.clear()
+        _DEAD_KEYS.clear()
         _MEMO_HITS = 0
         _MEMO_MISSES = 0
         _MEMO_GEN += 1
@@ -173,6 +332,7 @@ def invalidate_cost_memo(ir_hashes: Optional[Iterable[str]] = None) -> int:
     global _MEMO_GEN
     with _MEMO_LOCK:
         _MEMO_GEN += 1
+        _drop_dead_keys()
         if ir_hashes is None:
             dropped = len(_COST_MEMO)
             _COST_MEMO.clear()
@@ -199,13 +359,15 @@ class CostModel:
     def __init__(self, device: Device) -> None:
         self.device = device
         #: Memo key component identifying the pricing-relevant device
-        #: state.  Specs, cache levels and DRAM rows are frozen
-        #: dataclasses, so equal devices (fleet replicas) share entries.
+        #: state: the field values of the spec, cache levels and DRAM row,
+        #: so equal devices (fleet replicas) share entries.  Plain tuples
+        #: hash in C; the frozen dataclasses would re-hash field by field
+        #: in Python on every lookup.
         self._device_key = (
             type(device).__qualname__,
-            device.spec,
-            device.memory.levels,
-            device.memory.dram,
+            astuple(device.spec),
+            tuple(astuple(level) for level in device.memory.levels),
+            astuple(device.memory.dram),
         )
 
     # ------------------------------------------------------------------
@@ -224,49 +386,51 @@ class CostModel:
         point analysis guarantees this for profiling slices; whole-launch
         ranges start at zero and are trivially aligned).
 
-        Statically priced IRs (:func:`statically_priced`) are memoized per
-        (IR hash, device, packing factor, range length, buffer shapes):
-        repeated launches of the same workload class return the cached
+        Memoized (see :meth:`_memo_key`): repeated launches of the same
+        workload class, or of the same frozen input, return the cached
         (read-only) array without re-deriving anything.  The memo is a
         pure cache — hits are bit-identical to the computation they skip.
         """
-        global _MEMO_HITS, _MEMO_MISSES
         if units.empty:
             return np.zeros(0)
-        key = self._memo_key(variant, args, units)
-        if key is not None:
-            with _MEMO_LOCK:
-                cached = _COST_MEMO.get(key)
-                if cached is not None:
-                    _MEMO_HITS += 1
-                    return cached
-                generation = _MEMO_GEN
-        result = self._workgroup_cycles_uncached(variant, args, units)
-        if key is not None:
-            result.setflags(write=False)
-            with _MEMO_LOCK:
-                _MEMO_MISSES += 1
-                if _MEMO_GEN == generation:
-                    _COST_MEMO.setdefault(key, result)
-        return result
+        holders: List[object] = []
+        key = self._memo_key(variant, args, units, holders)
+
+        def compute() -> np.ndarray:
+            result = self._workgroup_cycles_uncached(variant, args, units)
+            if key is not None:
+                result.setflags(write=False)
+            return result
+
+        return _memoized(key, holders, compute, counted=True)
 
     def _memo_key(
         self,
         variant: KernelVariant,
         args: Mapping[str, object],
         units: WorkRange,
+        holders: Optional[List[object]] = None,
     ) -> Optional[Tuple]:
         """Memo key for a launch, or None when it must not be cached.
 
         Only wa-aligned ranges qualify: alignment makes the group
         partition (and therefore the cost array) a function of the range
-        *length* alone, so profiling slices at different offsets share
-        one entry.  A misaligned range falls through to the uncached path
-        (which rejects it the same way it always has).
+        *length* alone, so a statically priced IR's profiling slices at
+        different offsets share one entry.  A misaligned range falls
+        through to the uncached path (which rejects it the same way it
+        always has).
+
+        A data-dependent IR's slices see different data, so its key holds
+        the exact range, the IR's identity (``ir_hash`` is blind to
+        evaluator bodies) and every non-output argument
+        (:func:`_input_key`); written buffers contribute only their shape,
+        dtype and space, because no evaluator reads an output.  The
+        objects named by identity are appended to ``holders``; an
+        argument that is not frozen makes the launch uncacheable.
         """
+        if holders is None:
+            holders = []
         ir = variant.ir
-        if not statically_priced(ir):
-            return None
         if units.start % variant.wa_factor != 0:
             return None
         placements = dict(ir.placements)
@@ -289,12 +453,27 @@ class CostModel:
                     float(hint.nbytes) if hint is not None else None,
                 )
             )
-        return (
-            ir_hash(ir),
-            self._device_key,
-            variant.wa_factor,
-            len(units),
+        head = (ir_hash(ir), self._device_key, variant.wa_factor)
+        if statically_priced(ir):
+            return head + (len(units), tuple(fingerprint))
+        written = _once_per_ir(
+            ir, "_written", lambda ir: frozenset(ir.written_buffers)
+        )
+        inputs = []
+        for name, value in args.items():
+            if name in written and isinstance(value, Buffer):
+                part: Hashable = (value.shape, value.dtype.str, value.space.value)
+            else:
+                part = _input_key(value, holders)
+                if part is None:
+                    return None
+            inputs.append((name, part))
+        holders.append(ir)
+        return head + (
+            (units.start, units.end),
             tuple(fingerprint),
+            id(ir),
+            tuple(inputs),
         )
 
     def _workgroup_cycles_uncached(

@@ -54,6 +54,12 @@ class Buffer:
     writable:
         Whether kernels may write this buffer.  Placement into TEXTURE or
         CONSTANT space requires ``writable=False``, matching hardware.
+        ``writable=False`` is the kernel contract only: it says no kernel
+        writes the buffer, not that its array never changes.  Freezing
+        the array as well (``data.setflags(write=False)``) is what makes
+        the input cacheable: the cost memo and workload signatures key a
+        frozen array by identity, and a later write raises instead of
+        leaving a stale entry (see :mod:`repro.device.cost`).
     """
 
     def __init__(

@@ -15,6 +15,9 @@ Feature extraction is duck-typed, not imported from :mod:`repro.workloads`
 ``row_nnz``) contributes sparsity features, anything exposing a buffer
 surface (``data`` ndarray) contributes footprint features — so user
 workloads outside the benchmark suite get input-aware keys for free.
+The features of a frozen sparse input (every array it holds read-only)
+are computed once per input object, through the cost memo's per-input
+cache.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 import numpy as np
+
+from ..device.cost import memoize_per_input
 
 #: Quantization step for the row-length coefficient of variation.  One
 #: step separates "perfectly regular" (banded/diagonal, cv ~ 0) from
@@ -68,7 +73,17 @@ class WorkloadSignature:
 
 
 def _sparse_features(name: str, value: object) -> Tuple[Tuple[str, str], ...]:
-    """Sparsity/regularity features of one CSR-shaped argument."""
+    """Sparsity/regularity features of one CSR-shaped argument.
+
+    A frozen matrix is summarized once and served from the cost memo
+    until it dies or the memo is cleared.
+    """
+    return memoize_per_input(
+        f"signature:{name}", value, lambda: _summarize_sparse(name, value)
+    )
+
+
+def _summarize_sparse(name: str, value: object) -> Tuple[Tuple[str, str], ...]:
     rows = int(value.rows)  # type: ignore[attr-defined]
     cols = int(value.cols)  # type: ignore[attr-defined]
     nnz = int(value.nnz)  # type: ignore[attr-defined]

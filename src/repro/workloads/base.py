@@ -17,6 +17,21 @@ ArgsFactory = Callable[[], Dict[str, object]]
 Checker = Callable[[Mapping[str, object]], bool]
 
 
+def freeze(*inputs: object) -> None:
+    """Make case inputs read-only: arrays directly, any other object
+    through every array attribute it holds.
+
+    A frozen input is what the cost memo and workload signatures key by
+    identity (:func:`repro.device.cost.memoize_per_input`), and a later
+    write raises ``ValueError`` instead of leaving a stale entry behind.
+    """
+    for value in inputs:
+        arrays = (value,) if isinstance(value, np.ndarray) else vars(value).values()
+        for array in arrays:
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+
 def per_unit_reduce(
     values: np.ndarray,
     unit_ids: np.ndarray,

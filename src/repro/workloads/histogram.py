@@ -36,7 +36,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase, per_unit_reduce
+from .base import BenchmarkCase, freeze, per_unit_reduce
 
 #: Elements per workload unit and histogram bins.
 ELEMS_PER_UNIT = 1024
@@ -216,6 +216,7 @@ def make_args_factory(
         data = np.where(rng.uniform(size=elems) < 0.8, hot, cold)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
+    freeze(data)
 
     def make_args() -> Dict[str, object]:
         return {

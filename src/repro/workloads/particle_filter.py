@@ -38,7 +38,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase, per_unit_mean
+from .base import BenchmarkCase, freeze, per_unit_mean
 
 #: Particles per workload unit.
 PARTICLES_PER_UNIT = 64
@@ -164,6 +164,7 @@ def make_args_factory(
     # Stratified thresholds, as Rodinia's resampling draws them.
     u0 = rng.uniform(0.0, 1.0 / particles)
     u = (u0 + np.arange(particles) / particles).astype(np.float32)
+    freeze(cdf, u)
 
     def make_args() -> Dict[str, object]:
         return {

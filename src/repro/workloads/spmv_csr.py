@@ -44,7 +44,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase
+from .base import BenchmarkCase, freeze
 from .matrices import CsrMatrix, diagonal_csr, random_csr
 
 #: Rows per workload unit.
@@ -357,6 +357,7 @@ def make_args_factory(
     """Argument factory binding a matrix and a fresh output vector."""
     rng = config.rng("spmv_x", matrix.label)
     x_data = rng.standard_normal(matrix.cols).astype(np.float32)
+    freeze(matrix, x_data)
 
     def make_args() -> Dict[str, object]:
         return {

@@ -44,7 +44,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase, per_unit_mean
+from .base import BenchmarkCase, freeze, per_unit_mean
 from .matrices import JdsMatrix, csr_to_jds, random_csr
 
 #: Rows per workload unit.
@@ -199,6 +199,7 @@ def make_args_factory(
     """Argument factory binding a JDS matrix and a fresh output vector."""
     rng = config.rng("spmv_jds_x", matrix.label)
     x_data = rng.standard_normal(matrix.shape[1]).astype(np.float32)
+    freeze(matrix, x_data)
 
     def make_args() -> Dict[str, object]:
         return {

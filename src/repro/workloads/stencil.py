@@ -71,39 +71,47 @@ def stencil_signature() -> KernelSignature:
     )
 
 
-def _row_step(src, dst, z: int, y: int, nz: int, ny: int) -> None:
-    """One output row; boundary cells copy through (Parboil's halo)."""
-    if z == 0 or z == nz - 1 or y == 0 or y == ny - 1:
-        dst[z, y, :] = src[z, y, :]
+def _slab_step(
+    src, dst, z0: int, z1: int, y0: int, y1: int, nz: int, ny: int
+) -> None:
+    """Output rows ``[z0, z1) × [y0, y1)``; boundary cells copy through
+    (Parboil's halo), interior cells take one Jacobi step.
+
+    Every cell is the same float32 expression, in the same order, as a
+    row-at-a-time loop would compute, so results are bit-identical.
+    """
+    dst[z0:z1, y0:y1] = src[z0:z1, y0:y1]
+    zi0, zi1 = max(z0, 1), min(z1, nz - 1)
+    yi0, yi1 = max(y0, 1), min(y1, ny - 1)
+    if zi0 >= zi1 or yi0 >= yi1:
         return
-    row = src[z, y, 1:-1]
-    dst[z, y, 1:-1] = (
-        C0 * row
-        + C1
-        * (
-            src[z, y, :-2]
-            + src[z, y, 2:]
-            + src[z, y - 1, 1:-1]
-            + src[z, y + 1, 1:-1]
-            + src[z - 1, y, 1:-1]
-            + src[z + 1, y, 1:-1]
-        )
+    z, y = slice(zi0, zi1), slice(yi0, yi1)
+    dst[z, y, 1:-1] = C0 * src[z, y, 1:-1] + C1 * (
+        src[z, y, :-2]
+        + src[z, y, 2:]
+        + src[z, yi0 - 1 : yi1 - 1, 1:-1]
+        + src[z, yi0 + 1 : yi1 + 1, 1:-1]
+        + src[zi0 - 1 : zi1 - 1, y, 1:-1]
+        + src[zi0 + 1 : zi1 + 1, y, 1:-1]
     )
-    dst[z, y, 0] = src[z, y, 0]
-    dst[z, y, -1] = src[z, y, -1]
 
 
 def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> None:
-    """Units are UNIT_Y×UNIT_Z row blocks in (z-block, y-block) order."""
-    nx, ny, nz = args["grid"]  # type: ignore[misc]
+    """Units are UNIT_Y×UNIT_Z row blocks in (z-block, y-block) order; the
+    units of one z-block form one contiguous slab."""
+    _nx, ny, nz = args["grid"]  # type: ignore[misc]
     src = args["a_in"].data  # type: ignore[union-attr]
     dst = args["a_out"].data  # type: ignore[union-attr]
     y_blocks = ny // UNIT_Y
-    for unit in range(unit_start, unit_end):
+    unit = unit_start
+    while unit < unit_end:
         zb, yb = divmod(unit, y_blocks)
-        for dz in range(UNIT_Z):
-            for dy in range(UNIT_Y):
-                _row_step(src, dst, zb * UNIT_Z + dz, yb * UNIT_Y + dy, nz, ny)
+        yb_end = min(y_blocks, yb + unit_end - unit)
+        z0 = zb * UNIT_Z
+        _slab_step(
+            src, dst, z0, z0 + UNIT_Z, yb * UNIT_Y, yb_end * UNIT_Y, nz, ny
+        )
+        unit += yb_end - yb
 
 
 def base_variant(grid, device_kind: str) -> KernelVariant:
