@@ -44,10 +44,10 @@ from typing import (
 import numpy as np
 
 from ..kernel.buffers import Buffer, MemorySpace
-from ..kernel.ir import AtomicKind, KernelIR
+from ..kernel.ir import AtomicKind, KernelIR, MemoryAccess
 from ..kernel.kernel import KernelVariant, WorkRange
 from .base import Device
-from .memory import ELEM_BYTES, AccessCost
+from .memory import ELEM_BYTES
 
 T = TypeVar("T")
 
@@ -151,6 +151,30 @@ def _no_evaluators(ir: KernelIR) -> bool:
         access.stride_evaluator is None and access.footprint_hint is None
         for access in ir.accesses
     )
+
+
+def _placed_sites(
+    ir: KernelIR,
+) -> Tuple[Tuple[MemoryAccess, Optional[MemorySpace]], ...]:
+    """Each access site with the space an IR placement binds it to
+    (None: the bound buffer's own space)."""
+    placements = dict(ir.placements)
+    return tuple(
+        (
+            access,
+            MemorySpace(placements[access.buffer])
+            if access.buffer in placements
+            else None,
+        )
+        for access in ir.accesses
+    )
+
+
+def _space(placed: Optional[MemorySpace], buffer: Optional[Buffer]) -> MemorySpace:
+    """The space serving a site: its placement, else its buffer's space."""
+    if placed is not None:
+        return placed
+    return buffer.space if buffer is not None else MemorySpace.GLOBAL
 
 
 # ----------------------------------------------------------------------
@@ -433,14 +457,10 @@ class CostModel:
         ir = variant.ir
         if units.start % variant.wa_factor != 0:
             return None
-        placements = dict(ir.placements)
         fingerprint = []
-        for access in ir.accesses:
+        for access, placed in _once_per_ir(ir, "_sites", _placed_sites):
             buffer = self._buffer_arg(args, access.buffer)
-            space = placements.get(
-                access.buffer,
-                buffer.space.value if buffer is not None else "global",
-            )
+            space = _space(placed, buffer).value
             hint = (
                 self._buffer_arg(args, access.working_set_hint)
                 if access.working_set_hint
@@ -488,13 +508,18 @@ class CostModel:
 
         group_start, group_end = variant.groups_for_units(units)
         factor = variant.wa_factor
-        offsets = (
-            np.arange(group_start, group_end, dtype=np.int64) * factor
-            - units.start
-        )
-        compute = np.add.reduceat(breakdown.compute_cycles, offsets)
-        bandwidth = np.add.reduceat(breakdown.bandwidth_cycles, offsets)
-        exposed = np.add.reduceat(breakdown.exposed_cycles, offsets)
+        compute = breakdown.compute_cycles
+        bandwidth = breakdown.bandwidth_cycles
+        exposed = breakdown.exposed_cycles
+        # A one-unit group's sums are its unit's own.
+        if factor > 1:
+            offsets = (
+                np.arange(group_start, group_end, dtype=np.int64) * factor
+                - units.start
+            )
+            compute = np.add.reduceat(compute, offsets)
+            bandwidth = np.add.reduceat(bandwidth, offsets)
+            exposed = np.add.reduceat(exposed, offsets)
 
         per_group_fixed = (
             self.device.scratchpad_cycles_per_group(variant.ir)
@@ -514,53 +539,48 @@ class CostModel:
         flops = ir.total_flops(args, ids, trips_by_loop)
         compute = self.device.compute_cycles(ir, flops, self._wg_size(ir))
 
-        cost = AccessCost.zero(ids.size)
-        atomic_cycles = np.zeros(ids.size)
-        placements = dict(ir.placements)
+        # Running sums over the sites; a pure stream's latency is 0.0.
+        bandwidth = latency = atomic_cycles = 0.0
         memory = self.device.memory
-        for access in ir.accesses:
+        for access, placed in _once_per_ir(ir, "_sites", _placed_sites):
             trips = ir.access_trips(access, args, ids, trips_by_loop)
             useful_bytes = access.bytes_per_trip * trips
             buffer = self._buffer_arg(args, access.buffer)
-            space = MemorySpace(
-                placements.get(
-                    access.buffer,
-                    buffer.space.value if buffer is not None else "global",
-                )
-            )
             hint = (
                 self._buffer_arg(args, access.working_set_hint)
                 if access.working_set_hint
                 else None
             )
             working_set = memory.working_set(access, args, ids, buffer, hint)
-            buffer_bytes = (
-                float(buffer.nbytes) if buffer is not None else float("inf")
-            )
             dynamic_stride = (
                 np.asarray(access.stride_evaluator(args, ids), dtype=float)
                 if access.stride_evaluator is not None
                 else None
             )
-            cost = cost + memory.access_cost(
+            cost = memory.access_cost(
                 access,
                 useful_bytes,
                 working_set,
-                buffer_bytes,
+                float(buffer.nbytes) if buffer is not None else float("inf"),
                 ir,
-                space,
+                _space(placed, buffer),
                 dynamic_stride=dynamic_stride,
             )
+            bandwidth = bandwidth + cost.bandwidth_cycles
+            latency = latency + cost.latency_cycles
             if access.atomic is AtomicKind.GLOBAL:
                 ops = useful_bytes / ELEM_BYTES
-                atomic_cycles += ops * self.device.atomic_cycles_per_op()
+                atomic_cycles = (
+                    atomic_cycles + ops * self.device.atomic_cycles_per_op()
+                )
+        if not ir.accesses:
+            bandwidth = np.zeros(ids.size)
 
         bookkeeping = self._loop_bookkeeping(ir, trips_by_loop, ids.size)
-        exposed = cost.latency_cycles + atomic_cycles + bookkeeping
         return UnitCostBreakdown(
             compute_cycles=compute,
-            bandwidth_cycles=cost.bandwidth_cycles,
-            exposed_cycles=exposed,
+            bandwidth_cycles=bandwidth,
+            exposed_cycles=latency + atomic_cycles + bookkeeping,
         )
 
     def _loop_bookkeeping(
@@ -578,9 +598,11 @@ class CostModel:
         what makes loop order matter for irregular inputs (paper §4.4's
         DFO/BFO crossover).
         """
+        if not ir.loops:
+            return np.zeros(count)
         spec = self.device.spec
-        bookkeeping = np.zeros(count)
-        instances = np.ones(count)
+        bookkeeping = 0.0
+        instances = 1.0  # one instance of the outermost loop per unit
         for index, loop in enumerate(ir.loops):
             iterations = instances * trips_by_loop[loop.name]
             per_trip = spec.loop_overhead_cycles

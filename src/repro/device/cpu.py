@@ -63,7 +63,6 @@ class CpuMemoryModel(MemoryModel):
     ) -> AccessCost:
         """Cycles one variant's access stream costs on this memory system."""
         useful_bytes = np.asarray(useful_bytes, dtype=float)
-        count = useful_bytes.size
         pattern = access.pattern
 
         # Vectorization penalty on irregular memory ops: masked/packed
@@ -83,7 +82,7 @@ class CpuMemoryModel(MemoryModel):
             # CPU, "coalesced across work-items" lowers to unit-stride
             # inner loops after work-item serialization/vectorization.
             cycles = self.stream_cycles(useful_bytes, working_set, buffer_bytes)
-            return AccessCost(cycles * pack, np.zeros(count))
+            return AccessCost(cycles * pack, 0.0)
 
         if pattern is AccessPattern.STRIDED:
             amp = self.stride_amplification(access.stride_bytes)
@@ -99,7 +98,7 @@ class CpuMemoryModel(MemoryModel):
                 )
                 exposed = elems * latency * pack
             else:
-                exposed = np.zeros(count)
+                exposed = 0.0
             return AccessCost(cycles * pack, exposed)
 
         if pattern is AccessPattern.GATHER:
@@ -116,7 +115,7 @@ class CpuMemoryModel(MemoryModel):
             # Register/L1-resident after the first touch.
             l1 = self.levels[0]
             return AccessCost(
-                useful_bytes / (4.0 * l1.bytes_per_cycle), np.zeros(count)
+                useful_bytes / (4.0 * l1.bytes_per_cycle), 0.0
             )
 
         raise AssertionError(f"unhandled access pattern {pattern!r}")

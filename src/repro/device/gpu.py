@@ -77,8 +77,11 @@ class GpuMemoryModel(MemoryModel):
             return self.stream_cycles(
                 useful_bytes, working_set, buffer_bytes, amplification
             )
-        useful = np.asarray(useful_bytes, dtype=float) * amplification
-        footprint = np.asarray(working_set, dtype=float) * amplification
+        useful = np.asarray(useful_bytes, dtype=float)
+        footprint = np.asarray(working_set, dtype=float)
+        if amplification != 1.0:
+            useful = useful * amplification
+            footprint = footprint * amplification
         fresh = np.minimum(useful, footprint)
         reused = useful - fresh
         source_bw = self.stream_bandwidth(min(buffer_bytes * amplification, 1e18))
@@ -102,7 +105,6 @@ class GpuMemoryModel(MemoryModel):
     ) -> AccessCost:
         """Cycles one variant's access stream costs on this memory system."""
         useful_bytes = np.asarray(useful_bytes, dtype=float)
-        count = useful_bytes.size
         pattern = access.pattern
 
         # Streaming through the texture path trades bandwidth for the
@@ -119,7 +121,7 @@ class GpuMemoryModel(MemoryModel):
             cycles = self._stream_cycles_gpu(
                 useful_bytes, working_set, buffer_bytes, space
             )
-            return AccessCost(cycles * stream_scale, np.zeros(count))
+            return AccessCost(cycles * stream_scale, 0.0)
 
         if pattern is AccessPattern.UNIT_STRIDE:
             # Per-thread-sequential: each lane walks its own region, so a
@@ -137,7 +139,7 @@ class GpuMemoryModel(MemoryModel):
                 fresh = self._stream_cycles_gpu(
                     useful_bytes, working_set, buffer_bytes, space
                 )
-                return AccessCost(fresh * amp * stream_scale, np.zeros(count))
+                return AccessCost(fresh * amp * stream_scale, 0.0)
             cycles = self._stream_cycles_gpu(
                 useful_bytes,
                 working_set,
@@ -145,7 +147,7 @@ class GpuMemoryModel(MemoryModel):
                 space,
                 amplification=max_amp,
             )
-            return AccessCost(cycles * stream_scale, np.zeros(count))
+            return AccessCost(cycles * stream_scale, 0.0)
 
         if pattern is AccessPattern.STRIDED:
             amp = min(
@@ -155,7 +157,7 @@ class GpuMemoryModel(MemoryModel):
             cycles = self._stream_cycles_gpu(
                 useful_bytes, working_set, buffer_bytes, space, amplification=amp
             )
-            return AccessCost(cycles * stream_scale, np.zeros(count))
+            return AccessCost(cycles * stream_scale, 0.0)
 
         if pattern is AccessPattern.GATHER:
             elems = useful_bytes / ELEM_BYTES
@@ -190,9 +192,9 @@ class GpuMemoryModel(MemoryModel):
         if pattern is AccessPattern.BROADCAST:
             if space is MemorySpace.CONSTANT:
                 # Constant cache broadcasts to the whole warp in one cycle.
-                return AccessCost(useful_bytes / 256.0, np.zeros(count))
+                return AccessCost(useful_bytes / 256.0, 0.0)
             bandwidth = self.stream_bandwidth(np.minimum(working_set, 64 * 1024))
-            return AccessCost(useful_bytes / bandwidth, np.zeros(count))
+            return AccessCost(useful_bytes / bandwidth, 0.0)
 
         raise AssertionError(f"unhandled access pattern {pattern!r}")
 

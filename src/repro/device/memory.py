@@ -62,22 +62,12 @@ class AccessCost:
 
     ``bandwidth_cycles`` overlaps with compute (roofline); ``latency_cycles``
     is exposed serialization (pointer-chasing gathers, atomics).  Both are
-    arrays over workload units.
+    arrays over workload units, except that a site exposing no latency
+    (a prefetched stream) reports a plain ``0.0``.
     """
 
     bandwidth_cycles: np.ndarray
-    latency_cycles: np.ndarray
-
-    @classmethod
-    def zero(cls, count: int) -> "AccessCost":
-        """A zero cost over ``count`` units."""
-        return cls(np.zeros(count), np.zeros(count))
-
-    def __add__(self, other: "AccessCost") -> "AccessCost":
-        return AccessCost(
-            self.bandwidth_cycles + other.bandwidth_cycles,
-            self.latency_cycles + other.latency_cycles,
-        )
+    latency_cycles: ArrayLike
 
 
 class MemoryModel:
@@ -100,6 +90,18 @@ class MemoryModel:
             )
         self.levels: Tuple[CacheLevel, ...] = tuple(levels)
         self.dram = dram
+        #: Level tables.  ``_bounds`` leads with a zero bound (nothing
+        #: hits before the first level), so ``_bounds[i + 1]`` bounds level
+        #: ``i``; ``_bandwidths`` ends with DRAM's, for working sets no
+        #: level holds.
+        self._bounds = np.array([0.0] + sizes, dtype=float)
+        self._bandwidths = np.array(
+            [level.bytes_per_cycle for level in self.levels]
+            + [dram.bytes_per_cycle]
+        )
+        self._latencies = np.array(
+            [level.latency_cycles for level in self.levels]
+        )
 
     # ------------------------------------------------------------------
     # Shared machinery
@@ -114,15 +116,13 @@ class MemoryModel:
         """Streaming bandwidth (bytes/cycle) for per-unit working sets.
 
         A stream is served by the closest level that holds its working
-        set; larger sets fall through to DRAM.
+        set; larger sets (and NaN) fall through to DRAM.  One binary
+        search into the level table: ``side="left"`` finds the first
+        level with ``working_set <= size``.
         """
-        ws = np.asarray(working_set_bytes, dtype=float)
-        bandwidth = np.full(ws.shape, self.dram.bytes_per_cycle)
-        for level in reversed(self.levels):
-            bandwidth = np.where(
-                ws <= level.size_bytes, level.bytes_per_cycle, bandwidth
-            )
-        return bandwidth
+        return self._bandwidths[
+            np.searchsorted(self._bounds[1:], working_set_bytes, side="left")
+        ]
 
     def stride_amplification(self, stride_bytes: int) -> float:
         """Traffic amplification of a constant-stride walk.
@@ -141,18 +141,17 @@ class MemoryModel:
 
         Estimated by the hit pyramid: a random access within the working
         set hits each level with probability ``level_size / working_set``
-        (clamped); the residual miss fraction pays DRAM latency.
+        (clamped); the residual miss fraction pays DRAM latency.  Levels
+        are ordered by size, so the hit fractions grow level by level and
+        each level serves exactly the increment over the one before it.
+        All levels are evaluated as one ``(levels, *units)`` array.
         """
         ws = np.maximum(np.asarray(working_set_bytes, dtype=float), 1.0)
-        latency = np.zeros(ws.shape)
-        covered = np.zeros(ws.shape)
-        for level in self.levels:
-            hit = np.minimum(1.0, level.size_bytes / ws)
-            fresh = np.maximum(0.0, hit - covered)
-            latency = latency + fresh * level.latency_cycles
-            covered = np.maximum(covered, hit)
-        latency = latency + (1.0 - covered) * self.dram.latency_cycles
-        return latency
+        column = (-1,) + (1,) * ws.ndim
+        hits = np.minimum(1.0, self._bounds.reshape(column) / ws)
+        fresh = hits[1:] - hits[:-1]
+        latency = np.add.reduce(fresh * self._latencies.reshape(column), axis=0)
+        return latency + (1.0 - hits[-1]) * self.dram.latency_cycles
 
     def working_set(
         self,
@@ -206,8 +205,10 @@ class MemoryModel:
         """
         ws = np.maximum(np.asarray(working_set, dtype=float), 1.0)
         useful = np.maximum(np.asarray(useful_bytes, dtype=float), 1.0)
-        resident = self.gather_latency(ws)
-        source = self.gather_latency(min(buffer_bytes, 1e18))
+        # The source level rides along as one more element of the same
+        # evaluation.
+        latency = self.gather_latency(np.append(ws, min(buffer_bytes, 1e18)))
+        resident, source = latency[:-1].reshape(ws.shape), latency[-1]
         fresh_frac = np.minimum(useful, ws) / np.maximum(useful, ws)
         fresh = np.maximum(source * fresh_discount, resident)
         return fresh_frac * fresh + (1.0 - fresh_frac) * resident
@@ -229,10 +230,11 @@ class MemoryModel:
         *reuses* it (sgemm tiles) and not when data is streamed once
         (spmv's val/col arrays).
         """
-        useful = np.asarray(useful_bytes, dtype=float) * amplification
-        footprint = (
-            np.asarray(working_set, dtype=float) * amplification
-        )
+        useful = np.asarray(useful_bytes, dtype=float)
+        footprint = np.asarray(working_set, dtype=float)
+        if amplification != 1.0:
+            useful = useful * amplification
+            footprint = footprint * amplification
         fresh = np.minimum(useful, footprint)
         reused = useful - fresh
         source_bw = self.stream_bandwidth(

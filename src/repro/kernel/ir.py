@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,19 @@ Evaluator = Callable[[Mapping[str, object], np.ndarray], np.ndarray]
 
 #: Per-unit trip counts by loop name (:meth:`KernelIR.loop_trips`).
 Trips = Mapping[str, np.ndarray]
+
+
+def _trip_product(
+    trips: Trips, names: Sequence[str], unit_ids: np.ndarray
+) -> np.ndarray:
+    """Product of the named loops' trips per unit, in order; one each
+    when no loop is named."""
+    if not names:
+        return np.ones(len(unit_ids))
+    counts = 1.0
+    for name in names:
+        counts = counts * trips[name]
+    return counts  # type: ignore[return-value]
 
 
 class AccessPattern(enum.Enum):
@@ -421,10 +434,9 @@ class KernelIR:
         enclosing it; a site outside all loops executes once.
         """
         trips = trips if trips is not None else self.loop_trips(args, unit_ids)
-        counts = np.ones(len(unit_ids))
-        for loop in self.enclosing_loops(site_loop):
-            counts = counts * trips[loop.name]
-        return counts
+        return _trip_product(
+            trips, [loop.name for loop in self.enclosing_loops(site_loop)], unit_ids
+        )
 
     def access_trips(
         self,
@@ -442,10 +454,7 @@ class KernelIR:
         if access.scope is None:
             return self.site_trips(access.loop, args, unit_ids, trips)
         trips = trips if trips is not None else self.loop_trips(args, unit_ids)
-        counts = np.ones(len(unit_ids))
-        for name in access.scope:
-            counts = counts * trips[name]
-        return counts
+        return _trip_product(trips, access.scope, unit_ids)
 
     def innermost_trips(
         self,

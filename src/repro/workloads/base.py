@@ -32,6 +32,23 @@ def freeze(*inputs: object) -> None:
                 array.setflags(write=False)
 
 
+def unit_span(
+    values: np.ndarray, unit_ids: np.ndarray, per_unit: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(span, ids)``: the contiguous slice of ``values`` the units own,
+    and the ids re-based to its first unit.
+
+    An evaluator that transforms ``values`` element by element transforms
+    ``span`` instead and reduces with the re-based ids, so it costs what
+    the asked units cost, not what the whole input does.
+    """
+    ids = np.asarray(unit_ids, dtype=np.int64)
+    if ids.size == 0:
+        return values[:0], ids
+    first, last = int(ids.min()), int(ids.max())
+    return values[first * per_unit : (last + 1) * per_unit], ids - first
+
+
 def per_unit_reduce(
     values: np.ndarray,
     unit_ids: np.ndarray,
@@ -44,21 +61,20 @@ def per_unit_reduce(
     at the end).  ``reduce`` maps a ``(units, elems)`` reshape of the ids'
     contiguous span to one value per row; empty units get zeros.
     """
-    ids = np.asarray(unit_ids, dtype=np.int64)
+    span, ids = unit_span(values, unit_ids, per_unit)
     if ids.size == 0:
         return np.zeros(0), np.zeros(0)
-    first, last = int(ids.min()), int(ids.max())
-    span = values[first * per_unit : (last + 1) * per_unit]
+    units = int(ids.max()) + 1
     full, tail = divmod(len(span), per_unit)
-    reduced = np.zeros(last + 1 - first)
-    lengths = np.zeros(last + 1 - first)
+    reduced = np.zeros(units)
+    lengths = np.zeros(units)
     if full:
         reduced[:full] = reduce(span[: full * per_unit].reshape(full, per_unit))
         lengths[:full] = per_unit
     if tail:
         reduced[full] = reduce(span[full * per_unit :].reshape(1, tail))[0]
         lengths[full] = tail
-    return reduced[ids - first], lengths[ids - first]
+    return reduced[ids], lengths[ids]
 
 
 def per_unit_mean(

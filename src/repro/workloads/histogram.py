@@ -36,7 +36,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase, freeze, per_unit_reduce
+from .base import BenchmarkCase, Checker, freeze, per_unit_reduce
 
 #: Elements per workload unit and histogram bins.
 ELEMS_PER_UNIT = 1024
@@ -227,19 +227,13 @@ def make_args_factory(
     return make_args
 
 
-def make_checker(
-    distribution: str = "uniform",
-    elems: int = DEFAULT_ELEMS,
-    config: ReproConfig = DEFAULT_CONFIG,
-):
-    """Output validator against one-shot bincount."""
-    data = make_args_factory(distribution, elems, config)()["data"].data
+def make_checker(data: np.ndarray) -> Checker:
+    """Output validator against one bincount of ``data``, computed once."""
+    expected = np.bincount(data, minlength=BINS)
 
     def check(args: Mapping[str, object]) -> bool:
         hist = args["hist"].data  # type: ignore[union-attr]
-        return bool(
-            np.array_equal(hist, np.bincount(data, minlength=BINS))
-        )
+        return bool(np.array_equal(hist, expected))
 
     return check
 
@@ -254,11 +248,12 @@ def swap_case(
         spec=KernelSpec(signature=histogram_signature()),
         variants=(atomic_variant(), privatized_variant()),
     )
+    make_args = make_args_factory(distribution, elems, config)
     return BenchmarkCase(
         name=f"histogram/{distribution}",
         pool=pool,
-        make_args=make_args_factory(distribution, elems, config),
+        make_args=make_args,
         workload_units=(elems + ELEMS_PER_UNIT - 1) // ELEMS_PER_UNIT,
-        check=make_checker(distribution, elems, config),
+        check=make_checker(make_args()["data"].data),  # type: ignore[union-attr]
         notes="swap-based profiling showcase (atomics, overlapping output)",
     )

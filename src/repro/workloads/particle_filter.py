@@ -38,7 +38,7 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
-from .base import BenchmarkCase, freeze, per_unit_mean
+from .base import BenchmarkCase, freeze, per_unit_mean, unit_span
 
 #: Particles per workload unit.
 PARTICLES_PER_UNIT = 64
@@ -77,11 +77,13 @@ def _search_trips(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarra
     The kernel scans the CDF linearly from the start and exits at the
     match — its cost is the mean matched index.  The thresholds ``u`` are
     stratified (sorted), so later units search further: genuinely
-    non-uniform work across work-groups.
+    non-uniform work across work-groups.  Only the thresholds of the
+    asked units' span are searched.
     """
     cdf = args["cdf"].data  # type: ignore[union-attr]
     u = args["u"].data  # type: ignore[union-attr]
-    trips = per_unit_mean(np.searchsorted(cdf, u), unit_ids, PARTICLES_PER_UNIT)
+    span, ids = unit_span(u, unit_ids, PARTICLES_PER_UNIT)
+    trips = per_unit_mean(np.searchsorted(cdf, span), ids, PARTICLES_PER_UNIT)
     return np.maximum(trips, 1.0)
 
 

@@ -38,6 +38,7 @@ from repro.kernel import (
     Loop,
     LoopBound,
     MemoryAccess,
+    MemorySpace,
     WorkRange,
 )
 from tests.conftest import (
@@ -538,6 +539,39 @@ class TestPerInputMemo:
         del variant
         gc.collect()
         assert cost_memo_stats()["entries"] == 0
+
+    def test_buffer_space_keeps_two_entries_over_one_frozen_array(
+        self, quiet_config
+    ):
+        """Two read-only buffers over one frozen array, one GLOBAL and one
+        TEXTURE, price apart.  ``_input_key`` keys a buffer by its array's
+        identity alone, so only the key's per-site fingerprint (the
+        resolved space) keeps the two entries apart."""
+        from repro.workloads import particle_filter
+
+        case = particle_filter.placement_case(8192, quiet_config)
+        variant = case.pool.variant("find_index,rodinia")
+        assert not variant.ir.placements
+        model = CostModel(make_gpu(quiet_config))
+        on_global = case.fresh_args()
+        cdf = on_global["cdf"]
+        assert cdf.space is MemorySpace.GLOBAL
+        on_texture = dict(
+            on_global,
+            cdf=Buffer("cdf", cdf.data, writable=False, space=MemorySpace.TEXTURE),
+        )
+        units = WorkRange(0, 8)
+        global_cycles = model.workgroup_cycles(variant, on_global, units)
+        texture_cycles = model.workgroup_cycles(variant, on_texture, units)
+        assert cost_memo_stats() == {"entries": 2, "hits": 0, "misses": 2}
+        assert global_cycles[0] == pytest.approx(6564.6)
+        assert texture_cycles[0] == pytest.approx(4194.0)
+        for args, cycles in ((on_global, global_cycles), (on_texture, texture_cycles)):
+            assert np.array_equal(
+                cycles, model._workgroup_cycles_uncached(variant, args, units)
+            )
+            assert model.workgroup_cycles(variant, args, units) is cycles
+        assert cost_memo_stats()["hits"] == 2
 
     def test_irs_differing_only_in_evaluators_never_share_an_entry(
         self, quiet_config

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError
-from repro.device.memory import AccessCost, CacheLevel, MemoryModel
+from repro.device.memory import CacheLevel, MemoryModel
 
 
 def scalar(x) -> float:
@@ -129,17 +129,3 @@ class TestStreamCycles:
             np.array([1000.0]), np.array([1000.0]), 1e9, amplification=4.0
         )
         assert scalar(amped) == pytest.approx(4.0 * scalar(base))
-
-
-class TestAccessCost:
-    def test_zero(self):
-        cost = AccessCost.zero(3)
-        assert cost.bandwidth_cycles.shape == (3,)
-        assert (cost.latency_cycles == 0).all()
-
-    def test_addition(self):
-        a = AccessCost(np.ones(2), np.full(2, 2.0))
-        b = AccessCost(np.full(2, 3.0), np.ones(2))
-        c = a + b
-        assert list(c.bandwidth_cycles) == [4.0, 4.0]
-        assert list(c.latency_cycles) == [3.0, 3.0]

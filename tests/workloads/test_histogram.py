@@ -16,6 +16,34 @@ def config():
     return ReproConfig()
 
 
+class TestChecker:
+    @pytest.mark.parametrize("distribution", ["uniform", "skewed"])
+    def test_one_input_build_per_case_and_corruption_is_rejected(
+        self, distribution, config, monkeypatch
+    ):
+        """The checker's reference comes from the case's own frozen
+        ``data``: building a case runs the argument factory once, and a
+        check still rejects a corrupted ``hist``."""
+        builds = []
+        factory = histogram.make_args_factory
+
+        def counting_factory(*args, **kwargs):
+            builds.append(args)
+            return factory(*args, **kwargs)
+
+        monkeypatch.setattr(histogram, "make_args_factory", counting_factory)
+        case = histogram.swap_case(distribution, ELEMS, config)
+        assert len(builds) == 1
+        args = case.fresh_args()
+        assert not case.validate(args)
+        histogram._executor(args, 0, case.workload_units)
+        assert case.validate(args)
+        args["hist"].data[7] += 1
+        assert not case.validate(args)
+        args["hist"].data[7] -= 1
+        assert case.validate(args)
+
+
 class TestFunctional:
     @pytest.mark.parametrize("distribution", ["uniform", "skewed"])
     def test_both_variants_correct(self, distribution, config):
